@@ -17,14 +17,7 @@ from .counting import (
     ChamberTable,
     InvariantError,
     LoopFreeTable,
-    OrthantTable,
     TableLimitError,
-    build_orthant_table,
-    chamber_count,
-    loop_free_even_count,
-    loop_free_odd_count,
-    reflected_count,
-    signed_permutations,
     total_partitions,
     total_regular,
 )
@@ -39,6 +32,15 @@ from .diagrams import (
     max_crossing,
     max_crossing_brute,
     parse_blocks_text,
+)
+from .oracle import (
+    OrthantTable,
+    build_orthant_table,
+    chamber_count,
+    loop_free_even_count,
+    loop_free_odd_count,
+    reflected_count,
+    signed_permutations,
 )
 from .sampler import (
     RandomBits,

@@ -93,14 +93,17 @@ class Filling:
         raise WalkError(0, f"entry {entry} is not at any corner")
 
     def check(self) -> None:
+        """Raise WalkError unless rows and columns increase strictly and
+        the row lengths weakly decrease."""
         for q, row in enumerate(self.rows):
-            assert all(a < b for a, b in zip(row, row[1:])), f"row {q + 1} not increasing"
+            if not all(a < b for a, b in zip(row, row[1:])):
+                raise WalkError(0, f"row {q + 1} not increasing")
             if q > 0:
                 above = self.rows[q - 1]
-                assert len(above) >= len(row), "shape not weakly decreasing"
-                assert all(above[i] < row[i] for i in range(len(row))), (
-                    f"column through row {q + 1} not increasing"
-                )
+                if len(above) < len(row):
+                    raise WalkError(0, "shape not weakly decreasing")
+                if not all(above[i] < row[i] for i in range(len(row))):
+                    raise WalkError(0, f"column through row {q + 1} not increasing")
 
 
 def _decode(steps: tuple[int, ...], first: str) -> list[tuple[int, int]]:

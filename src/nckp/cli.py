@@ -8,24 +8,33 @@
     nckp stats  --k K --n N --samples M [--seed S] --metric blocks|arcs
     nckp render --format svg [--out PATH]
 
-Exit codes: 0 ok, 2 usage, 3 cache mismatch, 4 verification failure.
+Exit codes: 0 ok, 2 usage, 3 cache mismatch or inconsistent cache,
+4 verification failure.
 Sampling streams one partition per line; with --jobs J the output
-interleaves J independent per-worker streams (worker w is seeded with
-seed XOR w) round-robin, so output is deterministic for fixed flags.
+interleaves J independent per-worker streams round-robin, so output is
+deterministic for fixed flags.  Worker 0 is seeded with the seed itself
+(so --jobs 1 is the plain seeded stream); worker w > 0 with a SHA-256 hash
+of (seed, w), so no two (seed, w) pairs share a stream.
 Relative --cache paths resolve under $NCKP_CACHE_DIR when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from collections import Counter
 
-from .counting import ChamberTable, LoopFreeTable, total_partitions, total_regular
+from .counting import (
+    ChamberTable,
+    InvariantError,
+    LoopFreeTable,
+    total_partitions,
+    total_regular,
+)
 from .diagrams import parse_blocks_text
-from .oracle import run_verification
 from .render import render_svg
 from .sampler import SamplerSession
 from .store import CacheError, load_tables, save_tables
@@ -122,8 +131,7 @@ def _load_session_table(args):
         raise CacheError(
             f"cache covers lengths <= {table.max_len}, --n {args.n} needs {need_len}"
         )
-    if isinstance(table, ChamberTable) and table.horizon is not None \
-            and table.horizon != need_len:
+    if table.horizon is not None and table.horizon != need_len:
         raise CacheError(
             f"cache horizon {table.horizon} does not match --n {args.n}"
         )
@@ -148,6 +156,23 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def worker_seed(seed: int, w: int) -> int:
+    """Seed of worker w under --jobs: worker 0 keeps `seed`, worker w > 0
+    gets a 256-bit hash of (seed, w)."""
+    if w == 0:
+        return seed
+    digest = hashlib.sha256(f"nckp-jobs {seed} {w}".encode()).digest()
+    return int.from_bytes(digest, "big")
+
+
+def _session_table(args):
+    """Build the pruned count table for one (k, n, mode) session."""
+    if args.regular:
+        walk_len = max(2 * (args.n - 1), 0)
+        return LoopFreeTable.build(args.k, walk_len, horizon=walk_len)
+    return ChamberTable.build(args.k, 2 * args.n, horizon=2 * args.n)
+
+
 def _cmd_sample(args) -> int:
     if args.count < 0:
         return _fail("--count must be >= 0", USAGE_ERROR)
@@ -158,32 +183,33 @@ def _cmd_sample(args) -> int:
     if args.cache:
         table = _load_session_table(args)
     elif args.n > 0:
-        if mode == "plain":
-            table = ChamberTable.build(args.k, 2 * args.n, horizon=2 * args.n)
-        else:
-            table = LoopFreeTable.build(args.k, 2 * (args.n - 1))
+        table = _session_table(args)
     jobs = min(args.jobs, max(args.count, 1))
     sessions = [
-        SamplerSession(args.k, args.n, mode, seed=args.seed ^ w, table=table)
+        SamplerSession(args.k, args.n, mode, seed=worker_seed(args.seed, w),
+                       table=table)
         for w in range(jobs)
     ]
     out = sys.stdout
-    for m in range(args.count):
-        _, p = sessions[m % jobs].draw()
-        out.write(_format_sample(p, args.format) + "\n")
+    try:
+        for m in range(args.count):
+            _, p = sessions[m % jobs].draw()
+            out.write(_format_sample(p, args.format) + "\n")
+    except InvariantError as exc:
+        if not args.cache:
+            raise
+        raise CacheError(f"cache {args.cache} is inconsistent: {exc}") from None
     return 0
 
 
 def _cmd_cache_build(args) -> int:
-    if args.regular:
-        table = LoopFreeTable.build(args.k, max(2 * (args.n - 1), 0))
-    else:
-        table = ChamberTable.build(args.k, 2 * args.n, horizon=2 * args.n)
-    save_tables(table, _resolve_cache(args.out))
+    save_tables(_session_table(args), _resolve_cache(args.out))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import run_verification
+
     report = run_verification(args.k_max, args.n_max)
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else VERIFY_FAILURE

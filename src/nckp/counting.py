@@ -1,47 +1,48 @@
 """Exact big-integer counting of chamber-confined walks.
 
-Three tables back the samplers and the CLI:
+Two tables back the samplers and the CLI, both filled by one dynamic
+program that counts walks directly inside the Weyl chamber
+W = {v : v_1 > v_2 > ... > v_{k-1} >= 0}:
 
-* OrthantTable      counts of partition-kind walks from the start point that
-                    stay in the nonnegative orthant, all endpoints/lengths.
-* ChamberTable      counts of chamber-confined partition walks, assembled
-                    from orthant counts by a signed sum over coordinate
-                    permutations.  One table per (k, max length).
-* LoopFreeTable     counts of chamber-confined braid walks with no loop
-                    vertex, built from chamber counts by inclusion-exclusion
-                    (even lengths) and a one-step recursion (odd lengths).
+* ChamberTable      counts of partition walks from the start point, for all
+                    endpoints and lengths.  One table per (k, max length).
+* LoopFreeTable     counts of braid walks with no loop vertex (no vertex
+                    that adds a box to row 1 and removes it again).
 
+The DP runs on packed integer keys.  A step from a point is legal when the
+point it reaches is still strictly decreasing and >= 0; nothing is ever
+counted outside the chamber, so no signed cancellation is needed.  For
+loop-free walks the state after an odd (add) step also records whether
+that step added to row 1, and the following remove(1) is then skipped.
 All counts are exact Python ints; no floating point is involved anywhere.
+
+A session-sized table (horizon=S, the session's walk length) keeps only
+the states a complete length-S walk can visit: a point with b boxes is kept
+at length s only while the remaining S - s steps hold at least b removes,
+that is b <= (S - s) // 2 for partition walks and b <= (S - s + 1) // 2 for
+braid walks.  The bound drops by at most one per step, and exactly on
+remove steps, so pruning each slice never loses a state that a later kept
+state depends on.  Lookups outside the pruned region either return a
+provable zero or raise.
 
 Chamber slices are stored packed (sorted key array + offset array + one
 bytes blob per length) because a sampling session at k=3, n=800 holds on
-the order of 10^7 entries whose values run to hundreds of digits.  A
-session-sized table also prunes to the "diamond" of states a length-S walk
-can actually visit: a point with b boxes is kept at length s only when b
-boxes can still be shed in s steps and accumulated in S - s steps.  Lookups
-outside the pruned region either return a provable zero or raise.
+the order of 10^6 entries whose values run to hundreds of digits.
+Loop-free slices stay plain dicts keyed by point, which are faster to
+look up.
 
-`chamber_count` is a deliberately separate dynamic program, confined to the
-chamber directly with no reflection; it exists as an independent oracle for
-the assembled tables and is used only at test scales.
+The paper's formulas -- the reflection sum over the orthant and the
+inclusion-exclusion over loops -- live in `oracle.py` as independent
+cross-checks of these tables.
 """
 
 from __future__ import annotations
 
 import bisect
 from array import array
-from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
-from .walks import (
-    BRAID_WALK,
-    PARTITION_WALK,
-    in_chamber,
-    in_orthant,
-    start_point,
-    step_class,
-)
+from .walks import in_chamber, start_point
 
 
 class TableLimitError(RuntimeError):
@@ -49,7 +50,8 @@ class TableLimitError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """A signed assembly produced a negative count, or totals disagree."""
+    """Counts contradict each other: a negative signed sum, or candidate
+    weights that fall short of the stored total."""
 
 
 # ---------------------------------------------------------------------------
@@ -80,140 +82,100 @@ def _packer(k: int, bits: int):
     return pack, unpack, shifts
 
 
-@lru_cache(maxsize=None)
-def signed_permutations(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sign, index tuple) for every permutation of the k-1 coordinates."""
-    out = []
-    for perm in permutations(range(k - 1)):
-        inv = sum(
-            1
-            for a in range(k - 1)
-            for b in range(a + 1, k - 1)
-            if perm[a] > perm[b]
-        )
-        out.append((-1 if inv % 2 else 1, perm))
-    return tuple(out)
+def _box_bound(s: int, horizon: int, braid: bool) -> int:
+    """Most boxes a point at length s may hold and still be shed by the
+    remove steps among positions s+1..horizon."""
+    return (horizon - s + braid) // 2
 
 
-# ---------------------------------------------------------------------------
-# rolling slice advance (shared by OrthantTable and ChamberTable builds)
-# ---------------------------------------------------------------------------
-
-def _advance_slice(prev: dict, k: int, shifts, bits: int, adding: bool,
-                   cap: int | None, base: int) -> dict:
-    """One step of the orthant recursion on packed-int keyed slices.
-
-    prev maps packed point -> count at length s-1; the result is the same
-    map at length s.  Remove steps require the touched coordinate to be
-    positive; `cap` (when given) drops any target with more than `cap`
-    boxes, which is safe for session tables because such states can no
-    longer influence any reachable lookup.
-    """
-    out: dict = {}
-    get = out.get
-    mask = (1 << bits) - 1
-    ones = tuple(1 << sh for sh in shifts)
-    for key, val in prev.items():
-        if cap is not None:
-            boxes = -base
-            for sh in shifts:
-                boxes += (key >> sh) & mask
-        else:
-            boxes = 0
-        if cap is None or boxes <= cap:
-            out[key] = get(key, 0) + val
-        if adding:
-            if cap is not None and boxes + 1 > cap:
-                continue
-            for one in ones:
-                q = key + one
-                out[q] = get(q, 0) + val
-        else:
-            if cap is not None and boxes - 1 > cap:
-                continue
-            for one, sh in zip(ones, shifts):
-                if (key >> sh) & mask:
-                    q = key - one
-                    out[q] = get(q, 0) + val
-    return out
-
-
-# ---------------------------------------------------------------------------
-# orthant table
-# ---------------------------------------------------------------------------
-
-class OrthantTable:
-    """Counts of orthant-confined partition walks from the start point.
-
-    Slices are plain dicts keyed by coordinate tuple; this table is meant
-    for moderate lengths (tests, oracles, odd-length feeds).  Session-scale
-    work goes through ChamberTable, which never materializes all slices.
-    """
-
-    def __init__(self, k: int, max_len: int, slices: list[dict]):
-        self.k = k
-        self.max_len = max_len
-        self._slices = slices
-
-    def count(self, v: tuple[int, ...], s: int) -> int:
-        if len(v) != self.k - 1 or not in_orthant(v):
-            raise ValueError(f"point {v} is not in the orthant for k={self.k}")
-        if not 0 <= s <= self.max_len:
-            raise ValueError(f"length {s} outside table range 0..{self.max_len}")
-        return self._slices[s].get(v, 0)
-
-    def slice_items(self, s: int):
-        return self._slices[s].items()
-
-
-def _estimate_entries(k: int, max_len: int, horizon: int | None) -> int:
+def _estimate_entries(k: int, max_len: int, horizon: int | None,
+                      braid: bool = False) -> int:
+    """Rough upper bound on the stored states: a slice whose points hold at
+    most b boxes has about (b + k)^(k-1) / ((k-1)!)^2 chamber points."""
     total = 0
     for s in range(max_len + 1):
-        b = s // 2
+        b = (s + braid) // 2
         if horizon is not None:
-            b = min(b, horizon - s + 1)
-        if b < 0:
-            continue
-        total += (b + k) ** (k - 1) // factorial(k - 1)
+            b = min(b, _box_bound(s, horizon, braid))
+        total += (b + k) ** (k - 1) // factorial(k - 1) ** 2
     return total
 
 
-def build_orthant_table(
-    k: int, max_len: int, *, max_entries: int = 80_000_000
-) -> OrthantTable:
-    """All orthant walk counts up to max_len.  Raises TableLimitError when
-    the state count estimate exceeds max_entries."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    est = _estimate_entries(k, max_len, None)
-    if est > max_entries:
-        raise TableLimitError(
-            f"orthant table for k={k}, max_len={max_len} needs ~{est} entries"
-            f" (limit {max_entries})"
-        )
-    bits = _coord_bits(k, max_len)
-    pack, unpack, shifts = _packer(k, bits)
+# ---------------------------------------------------------------------------
+# the step primitive
+# ---------------------------------------------------------------------------
+
+def _advance(prev: dict, out: dict, shifts, mask: int, base: int,
+             adding: bool, rows, stay: bool, cap: int | None) -> None:
+    """Add to `out` (packed point -> count) every legal one-step move out
+    of the points of `prev`.
+
+    The moves are the do-nothing step (when `stay`) and an add or remove
+    on each 0-based coordinate in `rows`.  A move is legal when the point
+    it reaches is still strictly decreasing and >= 0.  When `cap` is given,
+    targets holding more than `cap` boxes are dropped; since the caller's
+    cap falls by at most one per step, a remove never exceeds it.
+    """
+    get = out.get
+    last = len(shifts) - 1
+    ones = [1 << sh for sh in shifts]
+    for key, val in prev.items():
+        c = [(key >> sh) & mask for sh in shifts]
+        if cap is None:
+            grow = keep = True
+        else:
+            boxes = sum(c) - base
+            keep = boxes <= cap
+            grow = boxes < cap
+        if stay and keep:
+            out[key] = get(key, 0) + val
+        if adding:
+            if not grow:
+                continue
+            for i in rows:
+                if i == 0 or c[i - 1] - c[i] > 1:
+                    q = key + ones[i]
+                    out[q] = get(q, 0) + val
+        else:
+            for i in rows:
+                if c[i] > (c[i + 1] + 1 if i < last else 0):
+                    q = key - ones[i]
+                    out[q] = get(q, 0) + val
+
+
+def _walk_slices(k: int, max_len: int, horizon: int | None,
+                 loop_free: bool, bits: int):
+    """Yield, for s = 0..max_len, packed point -> number of walks of length
+    s from the start point.  Partition walks remove on odd steps and add on
+    even ones; loop-free braid walks add on odd steps, remove on even ones,
+    and never remove from row 1 right after adding to it."""
+    pack, _, shifts = _packer(k, bits)
+    mask = (1 << bits) - 1
     base = sum(start_point(k))
+    every = range(k - 1)
+    lower = range(1, k - 1)
     cur = {pack(start_point(k)): 1}
-    slices = [{start_point(k): 1}]
+    top: dict = {}  # loop-free states whose last step added to row 1
+    yield cur
     for s in range(1, max_len + 1):
-        adding = step_class(s, PARTITION_WALK) == "add"
-        cur = _advance_slice(cur, k, shifts, bits, adding, None, base)
-        slices.append({unpack(key): val for key, val in cur.items()})
-    return OrthantTable(k, max_len, slices)
-
-
-def reflected_count(at: OrthantTable, v: tuple[int, ...], s: int) -> int:
-    """Chamber-confined walk count via the signed permutation sum over
-    orthant counts.  Requires v in the chamber."""
-    if len(v) != at.k - 1 or not in_chamber(v):
-        raise ValueError(f"point {v} is not in the chamber for k={at.k}")
-    total = 0
-    for sign, perm in signed_permutations(at.k):
-        total += sign * at.count(tuple(v[i] for i in perm), s)
-    if total < 0:
-        raise InvariantError(f"negative reflected count at {v}, length {s}")
-    return total
+        cap = None if horizon is None else _box_bound(s, horizon, loop_free)
+        nxt: dict = {}
+        if not loop_free:
+            _advance(cur, nxt, shifts, mask, base, s % 2 == 0, every, True, cap)
+            counts = nxt
+        elif s % 2:
+            top = {}
+            _advance(cur, nxt, shifts, mask, base, True, lower, True, cap)
+            _advance(cur, top, shifts, mask, base, True, (0,), False, cap)
+            counts = dict(nxt)
+            for key, val in top.items():
+                counts[key] = counts.get(key, 0) + val
+        else:
+            _advance(cur, nxt, shifts, mask, base, False, every, True, cap)
+            _advance(top, nxt, shifts, mask, base, False, lower, True, cap)
+            counts = nxt
+        cur = nxt
+        yield counts
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +193,7 @@ class _PackedSlice:
             self.keys = array("q", keys)
         else:
             self.keys = keys
-        offsets = array("Q", [0]) if keys else array("Q", [0])
+        offsets = array("Q", [0])
         chunks = []
         pos = 0
         for key in keys:
@@ -287,55 +249,31 @@ class ChamberTable:
         *,
         horizon: int | None = None,
         max_entries: int = 80_000_000,
-    ) -> "ChamberTable":
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
+        loop_free: bool = False,
+    ):
+        """Run the chamber DP.  With loop_free=True the same engine counts
+        loop-free braid walks and returns a LoopFreeTable; that is what
+        LoopFreeTable.build does."""
+        min_k = 3 if loop_free else 2
+        if k < min_k:
+            raise ValueError(f"k must be >= {min_k}, got {k}")
         if horizon is not None and horizon != max_len:
             raise ValueError("horizon, when set, must equal max_len")
-        est = _estimate_entries(k, max_len, horizon)
+        est = _estimate_entries(k, max_len, horizon, loop_free)
         if est > max_entries:
             raise TableLimitError(
-                f"chamber table for k={k}, max_len={max_len} needs ~{est}"
-                f" entries (limit {max_entries})"
+                f"{'loop-free' if loop_free else 'chamber'} table for k={k},"
+                f" max_len={max_len} needs ~{est} entries (limit {max_entries})"
             )
         bits = _coord_bits(k, max_len)
-        pack, unpack, shifts = _packer(k, bits)
-        base = sum(start_point(k))
-        perms = signed_permutations(k)
-        delta = start_point(k)
-        cur = {pack(delta): 1}
-        slices = [_PackedSlice({pack(delta): 1})]
-        for s in range(1, max_len + 1):
-            adding = step_class(s, PARTITION_WALK) == "add"
-            cap = horizon - s + 1 if horizon is not None else None
-            cur = _advance_slice(cur, k, shifts, bits, adding, cap, base)
-            store_bound = (horizon - s) // 2 if horizon is not None else None
-            entries: dict = {}
-            get = cur.get
-            for key in cur:
-                v = unpack(key)
-                ok = True
-                prev = None
-                for x in v:
-                    if prev is not None and x >= prev:
-                        ok = False
-                        break
-                    prev = x
-                if not ok:
-                    continue
-                if store_bound is not None and sum(v) - base > store_bound:
-                    continue
-                total = 0
-                for sign, perm in perms:
-                    total += sign * get(pack(tuple(v[i] for i in perm)), 0)
-                if total < 0:
-                    raise InvariantError(
-                        f"negative chamber count at {v}, length {s}"
-                    )
-                if total:
-                    entries[key] = total
-            slices.append(_PackedSlice(entries))
-        return cls(k, max_len, horizon, slices)
+        slices = _walk_slices(k, max_len, horizon, loop_free, bits)
+        if loop_free:
+            _, unpack, _ = _packer(k, bits)
+            return LoopFreeTable(
+                k, max_len, horizon,
+                [{unpack(key): val for key, val in sl.items()} for sl in slices],
+            )
+        return cls(k, max_len, horizon, [_PackedSlice(sl) for sl in slices])
 
     def count(self, v: tuple[int, ...], s: int) -> int:
         if len(v) != self.k - 1 or not in_chamber(v):
@@ -365,71 +303,27 @@ class ChamberTable:
 # loop-free braid-walk table
 # ---------------------------------------------------------------------------
 
-def loop_free_even_count(ct: ChamberTable, v: tuple[int, ...], pairs: int) -> int:
-    """Loop-free braid walks of length 2*pairs ending at v, by
-    inclusion-exclusion over the number of loop vertices:
-
-        sum_h (-1)^h C(pairs, h) * chamber(v, 2*(pairs-h) + 1)
-
-    Braid walks of length 2m biject with partition walks of length 2m+1,
-    and a loop vertex can be spliced into any of the `pairs` vertex slots.
-    """
-    need = 2 * pairs + 1
-    if need > ct.max_len:
-        raise ValueError(
-            f"chamber table of length >= {need} required, have {ct.max_len}"
-        )
-    total = 0
-    for h in range(pairs + 1):
-        term = comb(pairs, h) * ct.count(v, 2 * (pairs - h) + 1)
-        total += -term if h % 2 else term
-    if total < 0:
-        raise InvariantError(f"negative loop-free count at {v}, 2*{pairs}")
-    return total
-
-
 class LoopFreeTable:
-    """Loop-free braid-walk counts for all endpoints and lengths <= walk_len."""
+    """Loop-free braid-walk counts for all endpoints and lengths <= walk_len.
 
-    def __init__(self, k: int, walk_len: int, slices: list[dict]):
+    With horizon=walk_len the table keeps only the states a complete walk
+    of that length can visit, and count() raises outside that envelope.
+    """
+
+    def __init__(self, k: int, walk_len: int, horizon: int | None,
+                 slices: list[dict]):
         self.k = k
         self.max_len = walk_len
+        self.horizon = horizon
         self._slices = slices
         self._base = sum(start_point(k))
 
     @classmethod
-    def build(cls, k: int, walk_len: int, ct: ChamberTable | None = None) -> "LoopFreeTable":
-        if k < 3:
-            raise ValueError(f"k must be >= 3 for loop-free braid counts, got {k}")
+    def build(cls, k: int, walk_len: int, *,
+              horizon: int | None = None) -> "LoopFreeTable":
         if walk_len % 2:
             raise ValueError(f"walk_len must be even, got {walk_len}")
-        if ct is None:
-            ct = ChamberTable.build(k, walk_len + 1)
-        if ct.k != k or ct.max_len < walk_len + 1:
-            raise ValueError(
-                f"chamber table of length >= {walk_len + 1} for k={k} required"
-            )
-        slices: list[dict] = [{start_point(k): 1}]
-        for s in range(1, walk_len + 1):
-            entries: dict = {}
-            if s % 2 == 0:
-                pairs = s // 2
-                for v, _ in ct.slice_items(s + 1):
-                    val = loop_free_even_count(ct, v, pairs)
-                    if val:
-                        entries[v] = val
-            else:
-                # odd step of a braid walk adds a box (or nothing)
-                prev = slices[s - 1]
-                get = entries.get
-                for p, val in prev.items():
-                    entries[p] = get(p, 0) + val
-                    for i in range(k - 1):
-                        q = p[:i] + (p[i] + 1,) + p[i + 1 :]
-                        if in_chamber(q):
-                            entries[q] = get(q, 0) + val
-            slices.append(entries)
-        return cls(k, walk_len, slices)
+        return ChamberTable.build(k, walk_len, horizon=horizon, loop_free=True)
 
     def count(self, v: tuple[int, ...], s: int) -> int:
         if len(v) != self.k - 1 or not in_chamber(v):
@@ -438,8 +332,13 @@ class LoopFreeTable:
             raise ValueError(
                 f"length {s} outside table range 0..{self.max_len}"
             )
-        if sum(v) - self._base > (s + 1) // 2:
+        boxes = sum(v) - self._base
+        if boxes > (s + 1) // 2:
             return 0
+        if self.horizon is not None and boxes > (self.horizon - s + 1) // 2:
+            raise ValueError(
+                f"point {v} at length {s} lies outside the horizon envelope"
+            )
         return self._slices[s].get(v, 0)
 
     def slice_items(self, s: int):
@@ -447,90 +346,6 @@ class LoopFreeTable:
 
     def entry_count(self) -> int:
         return sum(len(sl) for sl in self._slices)
-
-
-def loop_free_odd_count(lt: LoopFreeTable, v: tuple[int, ...], s: int) -> int:
-    """One-step recursion for odd lengths: the final odd step adds a box
-    (or does nothing), so sum loop-free counts over the possible origins."""
-    if s % 2 == 0:
-        raise ValueError(f"length must be odd, got {s}")
-    total = lt.count(v, s - 1)
-    for i in range(lt.k - 1):
-        q = v[:i] + (v[i] - 1,) + v[i + 1 :]
-        if in_chamber(q):
-            total += lt.count(q, s - 1)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# independent chamber oracle (direct DP, no reflection)
-# ---------------------------------------------------------------------------
-
-_oracle_slices: dict[tuple, list] = {}
-
-
-def _oracle_extend(k: int, kind: str, loop_free: bool, upto: int) -> list:
-    key = (k, kind, loop_free)
-    slices = _oracle_slices.setdefault(key, [{start_point(k): 1}])
-    while len(slices) <= upto:
-        s = len(slices)
-        cls = step_class(s, kind)
-        prev = slices[s - 1]
-        cur: dict = {}
-        get = cur.get
-        track = loop_free and kind == BRAID_WALK
-        for state, val in prev.items():
-            p = state[0] if track and s % 2 == 0 else state
-            pending = state[1] if track and s % 2 == 0 else False
-            for r in range(0, k):
-                if r == 0:
-                    q = p
-                elif cls == "add":
-                    q = p[: r - 1] + (p[r - 1] + 1,) + p[r:]
-                else:
-                    q = p[: r - 1] + (p[r - 1] - 1,) + p[r:]
-                if not in_chamber(q):
-                    continue
-                if track:
-                    if s % 2 == 1:
-                        new = (q, cls == "add" and r == 1)
-                    else:
-                        if pending and cls == "remove" and r == 1:
-                            continue
-                        new = q
-                else:
-                    new = q
-                cur[new] = get(new, 0) + val
-        slices.append(cur)
-    return slices
-
-
-def chamber_count(
-    k: int,
-    v: tuple[int, ...],
-    s: int,
-    kind: str = PARTITION_WALK,
-    loop_free: bool = False,
-    *,
-    max_len_guard: int = 512,
-) -> int:
-    """Direct chamber-confined DP count; the independent oracle.
-
-    For kind="P" this equals the reflected chamber count.  For kind="B" it
-    counts braid walks (loop_free excludes vertices that add to and remove
-    from row 1), matching the inclusion-exclusion route.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if s > max_len_guard:
-        raise TableLimitError(f"oracle guarded at length <= {max_len_guard}")
-    if len(v) != k - 1 or not in_chamber(v):
-        raise ValueError(f"point {v} is not in the chamber for k={k}")
-    slices = _oracle_extend(k, kind, loop_free, s)
-    track = loop_free and kind == BRAID_WALK
-    if track and s % 2 == 1:
-        return slices[s].get((v, False), 0) + slices[s].get((v, True), 0)
-    return slices[s].get(v, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +373,7 @@ def total_regular(k: int, n: int, table: LoopFreeTable | None = None) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1
+    walk_len = 2 * (n - 1)
     if table is None:
-        table = LoopFreeTable.build(k, 2 * (n - 1))
-    return table.count(start_point(k), 2 * (n - 1))
+        table = LoopFreeTable.build(k, walk_len, horizon=walk_len)
+    return table.count(start_point(k), walk_len)

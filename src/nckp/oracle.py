@@ -1,21 +1,50 @@
-"""Independent brute-force oracles and the statistical verification harness.
+"""Independent brute-force oracles, the paper's counting formulas, and the
+statistical verification harness.
 
 Everything here is deliberately naive: partitions come from exhaustive
 restricted-growth-string enumeration, walk counts from explicit step
 enumeration.  Guards are hard limits so the oracle suite cannot blow up in
 CI; they raise rather than truncate.
+
+The paper's routes to the chamber counts also live here, as identities
+that the direct DP in `counting.py` must satisfy:
+
+* reflected_count       chamber counts as a signed sum of orthant counts
+                        over the (k-1)! coordinate permutations
+                        (Gessel-Zeilberger reflection);
+* loop_free_even_count  loop-free braid counts by inclusion-exclusion over
+                        the number of loop vertices;
+* chamber_count         a tuple-keyed chamber DP that shares no code with
+                        the packed engine.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
+from math import comb, factorial
 
-from scipy.stats import chi2
-
-from .counting import chamber_count, loop_free_even_count, total_partitions, total_regular
+from .counting import (
+    ChamberTable,
+    InvariantError,
+    LoopFreeTable,
+    TableLimitError,
+    _coord_bits,
+    _packer,
+    total_partitions,
+    total_regular,
+)
 from .diagrams import Partition, is_k_noncrossing, is_m_regular
-from .walks import BRAID_WALK, PARTITION_WALK, in_chamber, in_orthant, start_point
+from .walks import (
+    BRAID_WALK,
+    PARTITION_WALK,
+    in_chamber,
+    in_orthant,
+    start_point,
+    step_class,
+)
 
 ENUM_GUARD = 13
 WALK_GUARD = 14
@@ -163,6 +192,229 @@ def brute_walk_count(
 
 
 # ---------------------------------------------------------------------------
+# orthant counts and the reflection sum
+# ---------------------------------------------------------------------------
+
+def _advance_slice(prev: dict, shifts, bits: int, adding: bool) -> dict:
+    """One step of the orthant recursion on packed-int keyed slices.
+
+    prev maps packed point -> count at length s-1; the result is the same
+    map at length s.  Remove steps require the touched coordinate to be
+    positive; nothing else constrains an orthant walk.
+    """
+    out: dict = {}
+    get = out.get
+    mask = (1 << bits) - 1
+    ones = tuple(1 << sh for sh in shifts)
+    for key, val in prev.items():
+        out[key] = get(key, 0) + val
+        for one, sh in zip(ones, shifts):
+            if adding:
+                q = key + one
+            elif (key >> sh) & mask:
+                q = key - one
+            else:
+                continue
+            out[q] = get(q, 0) + val
+    return out
+
+
+class OrthantTable:
+    """Counts of orthant-confined partition walks from the start point.
+
+    Slices are plain dicts keyed by coordinate tuple; this table is meant
+    for moderate lengths (tests and oracles).
+    """
+
+    def __init__(self, k: int, max_len: int, slices: list[dict]):
+        self.k = k
+        self.max_len = max_len
+        self._slices = slices
+
+    def count(self, v: tuple[int, ...], s: int) -> int:
+        if len(v) != self.k - 1 or not in_orthant(v):
+            raise ValueError(f"point {v} is not in the orthant for k={self.k}")
+        if not 0 <= s <= self.max_len:
+            raise ValueError(f"length {s} outside table range 0..{self.max_len}")
+        return self._slices[s].get(v, 0)
+
+    def slice_items(self, s: int):
+        return self._slices[s].items()
+
+
+def build_orthant_table(
+    k: int, max_len: int, *, max_entries: int = 80_000_000
+) -> OrthantTable:
+    """All orthant walk counts up to max_len.  Raises TableLimitError when
+    the state count estimate exceeds max_entries."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    est = sum(
+        (s // 2 + k) ** (k - 1) // factorial(k - 1) for s in range(max_len + 1)
+    )
+    if est > max_entries:
+        raise TableLimitError(
+            f"orthant table for k={k}, max_len={max_len} needs ~{est} entries"
+            f" (limit {max_entries})"
+        )
+    bits = _coord_bits(k, max_len)
+    pack, unpack, shifts = _packer(k, bits)
+    cur = {pack(start_point(k)): 1}
+    slices = [{start_point(k): 1}]
+    for s in range(1, max_len + 1):
+        adding = step_class(s, PARTITION_WALK) == "add"
+        cur = _advance_slice(cur, shifts, bits, adding)
+        slices.append({unpack(key): val for key, val in cur.items()})
+    return OrthantTable(k, max_len, slices)
+
+
+@lru_cache(maxsize=None)
+def signed_permutations(k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign, index tuple) for every permutation of the k-1 coordinates."""
+    out = []
+    for perm in permutations(range(k - 1)):
+        inv = sum(
+            1
+            for a in range(k - 1)
+            for b in range(a + 1, k - 1)
+            if perm[a] > perm[b]
+        )
+        out.append((-1 if inv % 2 else 1, perm))
+    return tuple(out)
+
+
+def reflected_count(at: OrthantTable, v: tuple[int, ...], s: int) -> int:
+    """Chamber-confined walk count via the signed permutation sum over
+    orthant counts.  Requires v in the chamber."""
+    if len(v) != at.k - 1 or not in_chamber(v):
+        raise ValueError(f"point {v} is not in the chamber for k={at.k}")
+    total = 0
+    for sign, perm in signed_permutations(at.k):
+        total += sign * at.count(tuple(v[i] for i in perm), s)
+    if total < 0:
+        raise InvariantError(f"negative reflected count at {v}, length {s}")
+    return total
+
+
+# ---------------------------------------------------------------------------
+# inclusion-exclusion over loops
+# ---------------------------------------------------------------------------
+
+def loop_free_even_count(ct: ChamberTable, v: tuple[int, ...], pairs: int) -> int:
+    """Loop-free braid walks of length 2*pairs ending at v, by
+    inclusion-exclusion over the number of loop vertices:
+
+        sum_h (-1)^h C(pairs, h) * chamber(v, 2*(pairs-h) + 1)
+
+    Braid walks of length 2m biject with partition walks of length 2m+1,
+    and a loop vertex can be spliced into any of the `pairs` vertex slots.
+    """
+    need = 2 * pairs + 1
+    if need > ct.max_len:
+        raise ValueError(
+            f"chamber table of length >= {need} required, have {ct.max_len}"
+        )
+    total = 0
+    for h in range(pairs + 1):
+        term = comb(pairs, h) * ct.count(v, 2 * (pairs - h) + 1)
+        total += -term if h % 2 else term
+    if total < 0:
+        raise InvariantError(f"negative loop-free count at {v}, 2*{pairs}")
+    return total
+
+
+def loop_free_odd_count(lt: LoopFreeTable, v: tuple[int, ...], s: int) -> int:
+    """One-step recursion for odd lengths: the final odd step adds a box
+    (or does nothing), so sum loop-free counts over the possible origins."""
+    if s % 2 == 0:
+        raise ValueError(f"length must be odd, got {s}")
+    total = lt.count(v, s - 1)
+    for i in range(lt.k - 1):
+        q = v[:i] + (v[i] - 1,) + v[i + 1 :]
+        if in_chamber(q):
+            total += lt.count(q, s - 1)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# tuple-keyed chamber DP
+# ---------------------------------------------------------------------------
+
+ORACLE_CACHE_KINDS = 8
+_oracle_slices: dict[tuple, list] = {}
+
+
+def _oracle_extend(k: int, kind: str, loop_free: bool, upto: int) -> list:
+    """Slices 0..upto of the direct DP for (k, kind, loop_free).  Slices
+    are kept between calls for at most ORACLE_CACHE_KINDS such triples;
+    the oldest is dropped first."""
+    key = (k, kind, loop_free)
+    slices = _oracle_slices.pop(key, None) or [{start_point(k): 1}]
+    while len(_oracle_slices) >= ORACLE_CACHE_KINDS:
+        del _oracle_slices[next(iter(_oracle_slices))]
+    _oracle_slices[key] = slices
+    while len(slices) <= upto:
+        s = len(slices)
+        cls = step_class(s, kind)
+        prev = slices[s - 1]
+        cur: dict = {}
+        get = cur.get
+        track = loop_free and kind == BRAID_WALK
+        for state, val in prev.items():
+            p = state[0] if track and s % 2 == 0 else state
+            pending = state[1] if track and s % 2 == 0 else False
+            for r in range(0, k):
+                if r == 0:
+                    q = p
+                elif cls == "add":
+                    q = p[: r - 1] + (p[r - 1] + 1,) + p[r:]
+                else:
+                    q = p[: r - 1] + (p[r - 1] - 1,) + p[r:]
+                if not in_chamber(q):
+                    continue
+                if track:
+                    if s % 2 == 1:
+                        new = (q, cls == "add" and r == 1)
+                    else:
+                        if pending and cls == "remove" and r == 1:
+                            continue
+                        new = q
+                else:
+                    new = q
+                cur[new] = get(new, 0) + val
+        slices.append(cur)
+    return slices
+
+
+def chamber_count(
+    k: int,
+    v: tuple[int, ...],
+    s: int,
+    kind: str = PARTITION_WALK,
+    loop_free: bool = False,
+    *,
+    max_len_guard: int = 512,
+) -> int:
+    """Direct chamber-confined DP count on coordinate tuples.
+
+    For kind="P" this equals the reflected chamber count.  For kind="B" it
+    counts braid walks (loop_free excludes vertices that add to and remove
+    from row 1), matching the inclusion-exclusion route.
+    """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if s > max_len_guard:
+        raise TableLimitError(f"oracle guarded at length <= {max_len_guard}")
+    if len(v) != k - 1 or not in_chamber(v):
+        raise ValueError(f"point {v} is not in the chamber for k={k}")
+    slices = _oracle_extend(k, kind, loop_free, s)
+    track = loop_free and kind == BRAID_WALK
+    if track and s % 2 == 1:
+        return slices[s].get((v, False), 0) + slices[s].get((v, True), 0)
+    return slices[s].get(v, 0)
+
+
+# ---------------------------------------------------------------------------
 # uniformity testing
 # ---------------------------------------------------------------------------
 
@@ -221,6 +473,8 @@ def chi_square_uniformity(samples, universe: UniverseIndex,
     dof = cells - 1
     if dof == 0:
         return ChiSquareReport(0.0, 0, 0.0, alpha, True, max_rel)
+    from scipy.stats import chi2
+
     threshold = float(chi2.isf(alpha, dof))
     return ChiSquareReport(stat, dof, threshold, alpha, stat <= threshold, max_rel)
 
@@ -243,8 +497,6 @@ def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
     """Cross-check the count engine, bijections and tables against the
     brute-force oracles; returns a JSON-ready report."""
     from .bijection import decode_partition, encode_partition
-    from .counting import ChamberTable, LoopFreeTable
-    from .walks import Walk, legal_steps, apply_step, shape_to_point
 
     checks: list[dict] = []
 

@@ -91,33 +91,22 @@ class SamplerSession:
         self.mode = mode
         self.rng = RandomBits(seed)
         self.walk_len = 2 * n if mode == "plain" else max(2 * (n - 1), 0)
-        if mode == "plain":
-            if table is None and n > 0:
-                table = ChamberTable.build(k, self.walk_len, horizon=self.walk_len)
-            if table is not None:
-                if not isinstance(table, ChamberTable):
-                    raise TypeError("plain mode needs a ChamberTable")
-                if table.k != k or table.max_len < self.walk_len:
-                    raise ValueError(
-                        f"table covers k={table.k} lengths <= {table.max_len},"
-                        f" need k={k} length {self.walk_len}"
-                    )
-                if table.horizon is not None and table.horizon != self.walk_len:
-                    raise ValueError(
-                        f"table horizon {table.horizon} does not match walk"
-                        f" length {self.walk_len}"
-                    )
-        else:
-            if table is None and n > 0:
-                table = LoopFreeTable.build(k, self.walk_len)
-            if table is not None:
-                if not isinstance(table, LoopFreeTable):
-                    raise TypeError("regular mode needs a LoopFreeTable")
-                if table.k != k or table.max_len < self.walk_len:
-                    raise ValueError(
-                        f"table covers k={table.k} lengths <= {table.max_len},"
-                        f" need k={k} length {self.walk_len}"
-                    )
+        table_cls = ChamberTable if mode == "plain" else LoopFreeTable
+        if table is None and n > 0:
+            table = table_cls.build(k, self.walk_len, horizon=self.walk_len)
+        if table is not None:
+            if not isinstance(table, table_cls):
+                raise TypeError(f"{mode} mode needs a {table_cls.__name__}")
+            if table.k != k or table.max_len < self.walk_len:
+                raise ValueError(
+                    f"table covers k={table.k} lengths <= {table.max_len},"
+                    f" need k={k} length {self.walk_len}"
+                )
+            if table.horizon is not None and table.horizon != self.walk_len:
+                raise ValueError(
+                    f"table horizon {table.horizon} does not match walk"
+                    f" length {self.walk_len}"
+                )
         self.table = table
 
     @property

@@ -12,6 +12,12 @@ Plain text, self-describing, byte-order free:
     ...
     end
 
+Kind omega is a ChamberTable (partition walks), sigma_star a LoopFreeTable
+(loop-free braid walks).  For omega the horizon is 2n, for sigma_star it is
+2(n-1); either way a table with a horizon holds only the states a complete
+walk of that length can visit, and `none` marks an unpruned table.  Older
+sigma_star files always say `none` and still load.
+
 Counts are decimal strings, one entry per line.  Loading validates the
 header and refuses mismatched magic, version, kind, k or lengths.
 """
@@ -32,12 +38,11 @@ def save_tables(table, path) -> None:
     """Write a ChamberTable or LoopFreeTable to `path`."""
     if isinstance(table, ChamberTable):
         kind = "omega"
-        horizon = "none" if table.horizon is None else str(table.horizon)
     elif isinstance(table, LoopFreeTable):
         kind = "sigma_star"
-        horizon = "none"
     else:
         raise TypeError(f"cannot save {type(table).__name__}")
+    horizon = "none" if table.horizon is None else str(table.horizon)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MAGIC} {VERSION}\n")
         fh.write(f"kind {kind}\n")
@@ -82,6 +87,8 @@ def load_tables(path):
         n_entries = int(_header_line(lines, 5, "entries").split()[1])
     except ValueError as exc:
         raise CacheError(f"malformed header: {exc}") from None
+    if horizon is not None and horizon != max_len:
+        raise CacheError(f"horizon {horizon} differs from max_len {max_len}")
     slices: list[dict] = [dict() for _ in range(max_len + 1)]
     lineno = 6
     for i in range(n_entries):
@@ -109,7 +116,7 @@ def load_tables(path):
     if kind == "sigma_star":
         if k < 3:
             raise CacheError(f"sigma_star table requires k >= 3, got k={k}")
-        return LoopFreeTable(k, max_len, slices)
+        return LoopFreeTable(k, max_len, horizon, slices)
     pack, _, _ = _packer(k, _coord_bits(k, max_len))
     packed = [_PackedSlice({pack(v): c for v, c in sl.items()}) for sl in slices]
     return ChamberTable(k, max_len, horizon, packed)

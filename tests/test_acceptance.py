@@ -19,11 +19,6 @@ from nckp.bijection import (
 from nckp.counting import (
     ChamberTable,
     LoopFreeTable,
-    build_orthant_table,
-    chamber_count,
-    loop_free_even_count,
-    loop_free_odd_count,
-    reflected_count,
     total_partitions,
     total_regular,
 )
@@ -32,9 +27,14 @@ from nckp.oracle import (
     UniverseIndex,
     brute_walk_count,
     brute_walk_profile,
+    build_orthant_table,
+    chamber_count,
     chi_square_uniformity,
     enum_filtered,
     enum_partitions,
+    loop_free_even_count,
+    loop_free_odd_count,
+    reflected_count,
 )
 from nckp.sampler import SamplerSession, path_probability
 from nckp.walks import Walk, apply_step, legal_steps, start_point

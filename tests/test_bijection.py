@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -220,3 +223,21 @@ def test_filling_invariants_along_random_decodes():
             rows = apply_step(rows, st)
             filling.check()
             assert tuple(len(r) for r in filling.rows) == rows
+
+
+def test_filling_check_raises_under_optimized_python():
+    code = (
+        "from nckp.bijection import Filling\n"
+        "from nckp.walks import WalkError\n"
+        "f = Filling()\n"
+        "f.rows = [[1, 3], [1]]\n"
+        "try:\n"
+        "    f.check()\n"
+        "except WalkError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "raised"

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from nckp.cli import main
+from nckp.cli import main, worker_seed
 
 
 def run(capsys, *argv):
@@ -191,3 +194,49 @@ def test_usage_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    code = "import sys, nckp.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_inconsistent_cache_exit_code(capsys, tmp_path):
+    cache = tmp_path / "bad.tab"
+    run(capsys, "cache", "build", "--k", "3", "--n", "8", "--out", str(cache))
+    lines = cache.read_text().splitlines()
+    assert lines[8] == "1 0 2 1"
+    lines[8] = "1 0 2 2"
+    cache.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "sample", "--k", "3", "--n", "8", "--count", "3",
+                       "--cache", str(cache))
+    assert code == 3 and str(cache) in err
+
+
+def test_regular_cache_horizon_mismatch_exit_code(capsys, tmp_path):
+    cache = tmp_path / "r.tab"
+    run(capsys, "cache", "build", "--k", "3", "--n", "7", "--regular",
+        "--out", str(cache))
+    code, _, err = run(capsys, "sample", "--k", "3", "--n", "6", "--count", "1",
+                       "--regular", "--cache", str(cache))
+    assert code == 3 and "horizon" in err
+
+
+def test_jobs_worker_seeds_do_not_overlap(capsys):
+    assert worker_seed(2, 0) == 2
+    runs = [{worker_seed(seed, w) for w in range(3)} for seed in (2, 3)]
+    assert len(runs[0]) == len(runs[1]) == 3
+    assert not runs[0] & runs[1]
+    # the outputs of the two runs share no worker stream either
+    outs = []
+    for seed in ("2", "3"):
+        code, out, _ = run(capsys, "sample", "--k", "3", "--n", "10",
+                           "--count", "6", "--seed", seed, "--jobs", "3")
+        assert code == 0
+        outs.append(out.splitlines())
+    for w in range(3):
+        assert outs[0][w::3] != outs[1][w::3]

@@ -4,15 +4,17 @@ from nckp.counting import (
     ChamberTable,
     InvariantError,
     LoopFreeTable,
-    OrthantTable,
     TableLimitError,
+    total_partitions,
+    total_regular,
+)
+from nckp.oracle import (
+    OrthantTable,
     build_orthant_table,
     chamber_count,
     loop_free_even_count,
     loop_free_odd_count,
     reflected_count,
-    total_partitions,
-    total_regular,
 )
 from nckp.walks import start_point
 
@@ -93,7 +95,7 @@ def test_loop_free_odd_examples():
 def test_loop_free_matches_oracle():
     for k in (3, 4):
         ct = ChamberTable.build(k, 13)
-        lt = LoopFreeTable.build(k, 12, ct)
+        lt = LoopFreeTable.build(k, 12)
         for s in range(13):
             for v, count in lt.slice_items(s):
                 assert chamber_count(k, v, s, "B", loop_free=True) == count
@@ -235,3 +237,81 @@ def test_k4_loop_free_odd_recurrence():
             )
             assert lt.count(v, 2 * ell - 1) == expected
             assert loop_free_odd_count(lt, v, 2 * ell - 1) == expected
+
+
+def _envelope(k, s, horizon, braid=False):
+    """Most boxes a stored point may hold at length s."""
+    return (horizon - s + braid) // 2
+
+
+def test_pruned_chamber_matches_reflection_on_envelope():
+    base_len = {2: 16, 3: 16, 4: 14, 5: 12}
+    for k, horizon in base_len.items():
+        at = build_orthant_table(k, horizon)
+        pruned = ChamberTable.build(k, horizon, horizon=horizon)
+        base = sum(start_point(k))
+        for s in range(horizon + 1):
+            expected = {}
+            for v, _ in at.slice_items(s):
+                if all(a > b for a, b in zip(v, v[1:])) and (
+                    sum(v) - base <= _envelope(k, s, horizon)
+                ):
+                    count = reflected_count(at, v, s)
+                    assert pruned.count(v, s) == count, (k, v, s)
+                    if count:
+                        expected[v] = count
+            assert dict(pruned.slice_items(s)) == expected, (k, s)
+
+
+def test_pruned_loop_free_matches_inclusion_exclusion_on_envelope():
+    walk_len = 12
+    for k in (3, 4):
+        ct = ChamberTable.build(k, walk_len + 1)
+        lt = LoopFreeTable.build(k, walk_len, horizon=walk_len)
+        base = sum(start_point(k))
+
+        def even(v, s):
+            return loop_free_even_count(ct, v, s // 2)
+
+        for s in range(walk_len + 1):
+            points = {v for v, _ in ct.slice_items(s + 1)} | {
+                v for v, _ in ct.slice_items(s)
+            }
+            expected = {}
+            for v in points:
+                if sum(v) - base > _envelope(k, s, walk_len, braid=True):
+                    continue
+                if s % 2 == 0:
+                    count = even(v, s)
+                else:
+                    # the last odd step added a box to some row, or nothing
+                    count = even(v, s - 1) + sum(
+                        even(q, s - 1)
+                        for i in range(k - 1)
+                        for q in [v[:i] + (v[i] - 1,) + v[i + 1 :]]
+                        if all(a > b for a, b in zip(q, q[1:])) and q[-1] >= 0
+                    )
+                assert lt.count(v, s) == count, (k, v, s)
+                if count:
+                    expected[v] = count
+            assert dict(lt.slice_items(s)) == expected, (k, s)
+
+
+def test_count_just_outside_envelope_raises():
+    horizon = 12
+    pruned = ChamberTable.build(3, horizon, horizon=horizon)
+    # length 8 keeps at most 2 boxes; (4, 0) has 3 and is reachable in 8 steps
+    assert pruned.count((3, 0), 8) > 0
+    with pytest.raises(ValueError):
+        pruned.count((4, 0), 8)
+    lt = LoopFreeTable.build(3, horizon, horizon=horizon)
+    # length 9 keeps at most 2 boxes; 3 boxes are reachable in 9 steps
+    assert lt.count((3, 0), 9) > 0
+    with pytest.raises(ValueError):
+        lt.count((4, 0), 9)
+    with pytest.raises(ValueError):
+        lt.count((3, 1), 9)
+    # a provable zero still short-circuits before the envelope check
+    assert lt.count((5, 0), 2) == 0
+    with pytest.raises(ValueError):
+        LoopFreeTable.build(3, horizon, horizon=horizon - 2)

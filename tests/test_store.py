@@ -89,3 +89,32 @@ def test_unknown_kind(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError, match="kind"):
         load_tables(path)
+
+
+def test_pruned_loop_free_round_trip_keeps_horizon(tmp_path):
+    table = LoopFreeTable.build(3, 10, horizon=10)
+    path = tmp_path / "k3r6.tab"
+    save_tables(table, path)
+    assert _lines(path)[4] == "horizon 10"
+    loaded = load_tables(path)
+    assert isinstance(loaded, LoopFreeTable)
+    assert (loaded.k, loaded.max_len, loaded.horizon) == (3, 10, 10)
+    for s in range(11):
+        assert dict(loaded.slice_items(s)) == dict(table.slice_items(s))
+
+
+def test_unpruned_loop_free_cache_loads_without_horizon(tmp_path):
+    path = tmp_path / "k3r.tab"
+    save_tables(LoopFreeTable.build(3, 8), path)
+    assert _lines(path)[4] == "horizon none"
+    assert load_tables(path).horizon is None
+
+
+def test_horizon_must_equal_max_len(tmp_path):
+    path = tmp_path / "t.tab"
+    save_tables(ChamberTable.build(3, 8, horizon=8), path)
+    lines = _lines(path)
+    lines[4] = "horizon 6"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheError, match="horizon"):
+        load_tables(path)
