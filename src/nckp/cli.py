@@ -27,16 +27,10 @@ import os
 import sys
 from collections import Counter
 
-from .counting import (
-    ChamberTable,
-    InvariantError,
-    LoopFreeTable,
-    total_partitions,
-    total_regular,
-)
+from .counting import InvariantError, total_partitions, total_regular
 from .diagrams import parse_blocks_text
 from .render import render_svg
-from .sampler import SamplerSession
+from .sampler import SamplerSession, session_table
 from .store import CacheError, load_tables, save_tables
 
 USAGE_ERROR = 2
@@ -63,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="stream uniform samples, one per line")
     common(p)
     p.add_argument("--count", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed >= 0 (default 0)")
     p.add_argument("--regular", action="store_true")
     p.add_argument("--format", choices=["blocks", "arcs", "json"], default="blocks")
     p.add_argument("--cache", help="load preprocessed tables from this file")
@@ -106,6 +100,8 @@ def _check_params(args) -> str | None:
         return "--k must be >= 3 with --regular"
     if not regular and getattr(args, "k", 2) < 2:
         return "--k must be >= 2"
+    if getattr(args, "seed", 0) < 0:
+        return "--seed must be >= 0"
     return None
 
 
@@ -116,26 +112,18 @@ def _resolve_cache(path: str) -> str:
     return path
 
 
-def _load_session_table(args):
-    """Load and vet a cached table for the sample command."""
-    table = load_tables(_resolve_cache(args.cache))
+def _session_table(args):
+    """The count table of the sample or cache build command: the --cache
+    file's, once checked to fit, or else a freshly built pruned one."""
     mode = "regular" if args.regular else "plain"
-    need_len = 2 * args.n if mode == "plain" else max(2 * (args.n - 1), 0)
-    if mode == "plain" and not isinstance(table, ChamberTable):
-        raise CacheError("cache holds a sigma_star table but --regular is off")
-    if mode == "regular" and not isinstance(table, LoopFreeTable):
-        raise CacheError("cache holds an omega table but --regular is set")
-    if table.k != args.k:
-        raise CacheError(f"cache built for --k {table.k}, requested --k {args.k}")
-    if table.max_len < need_len:
-        raise CacheError(
-            f"cache covers lengths <= {table.max_len}, --n {args.n} needs {need_len}"
-        )
-    if table.horizon is not None and table.horizon != need_len:
-        raise CacheError(
-            f"cache horizon {table.horizon} does not match --n {args.n}"
-        )
-    return table
+    if not getattr(args, "cache", None):
+        return session_table(args.k, args.n, mode)
+    table = load_tables(_resolve_cache(args.cache))
+    try:
+        return session_table(args.k, args.n, mode, table)
+    except (TypeError, ValueError) as exc:
+        flags = f"--k {args.k} --n {args.n}" + " --regular" * args.regular
+        raise CacheError(f"cache {args.cache} does not fit {flags}: {exc}") from None
 
 
 def _format_sample(p, fmt: str) -> str:
@@ -165,25 +153,13 @@ def worker_seed(seed: int, w: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _session_table(args):
-    """Build the pruned count table for one (k, n, mode) session."""
-    if args.regular:
-        walk_len = max(2 * (args.n - 1), 0)
-        return LoopFreeTable.build(args.k, walk_len, horizon=walk_len)
-    return ChamberTable.build(args.k, 2 * args.n, horizon=2 * args.n)
-
-
 def _cmd_sample(args) -> int:
     if args.count < 0:
         return _fail("--count must be >= 0", USAGE_ERROR)
     if args.jobs < 1:
         return _fail("--jobs must be >= 1", USAGE_ERROR)
     mode = "regular" if args.regular else "plain"
-    table = None
-    if args.cache:
-        table = _load_session_table(args)
-    elif args.n > 0:
-        table = _session_table(args)
+    table = _session_table(args)
     jobs = min(args.jobs, max(args.count, 1))
     sessions = [
         SamplerSession(args.k, args.n, mode, seed=worker_seed(args.seed, w),

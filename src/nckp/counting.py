@@ -25,11 +25,12 @@ remove steps, so pruning each slice never loses a state that a later kept
 state depends on.  Lookups outside the pruned region either return a
 provable zero or raise.
 
-Chamber slices are stored packed (sorted key array + offset array + one
-bytes blob per length) because a sampling session at k=3, n=800 holds on
-the order of 10^6 entries whose values run to hundreds of digits.
-Loop-free slices stay plain dicts keyed by point, which are faster to
-look up.
+Both tables store every slice packed (sorted key array + offset array +
+one bytes blob per length) because a sampling session at k=3, n=800 holds
+on the order of 10^7 entries whose values run to hundreds of digits.  A
+sampler reads a table on packed keys too: moves() runs the DP's step
+primitive on a one-point slice and lookup() reads a count, so the build
+and the draw share one step rule and the packing stays in this module.
 
 The paper's formulas -- the reflection sum over the orthant and the
 inclusion-exclusion over loops -- live in `oracle.py` as independent
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
+from itertools import accumulate
 from math import factorial
 
 from .walks import in_chamber, start_point
@@ -84,7 +86,8 @@ def _packer(k: int, bits: int):
 
 def _box_bound(s: int, horizon: int, braid: bool) -> int:
     """Most boxes a point at length s may hold and still be shed by the
-    remove steps among positions s+1..horizon."""
+    remove steps among positions s+1..horizon.  By time reversal,
+    _box_bound(0, s, braid) is also the most boxes s steps can add."""
     return (horizon - s + braid) // 2
 
 
@@ -94,7 +97,7 @@ def _estimate_entries(k: int, max_len: int, horizon: int | None,
     most b boxes has about (b + k)^(k-1) / ((k-1)!)^2 chamber points."""
     total = 0
     for s in range(max_len + 1):
-        b = (s + braid) // 2
+        b = _box_bound(0, s, braid)
         if horizon is not None:
             b = min(b, _box_bound(s, horizon, braid))
         total += (b + k) ** (k - 1) // factorial(k - 1) ** 2
@@ -143,12 +146,12 @@ def _advance(prev: dict, out: dict, shifts, mask: int, base: int,
                     out[q] = get(q, 0) + val
 
 
-def _walk_slices(k: int, max_len: int, horizon: int | None,
-                 loop_free: bool, bits: int):
+def _walk_slices(k: int, max_len: int, horizon: int | None, loop_free: bool):
     """Yield, for s = 0..max_len, packed point -> number of walks of length
     s from the start point.  Partition walks remove on odd steps and add on
     even ones; loop-free braid walks add on odd steps, remove on even ones,
     and never remove from row 1 right after adding to it."""
+    bits = _coord_bits(k, max_len)
     pack, _, shifts = _packer(k, bits)
     mask = (1 << bits) - 1
     base = sum(start_point(k))
@@ -179,36 +182,39 @@ def _walk_slices(k: int, max_len: int, horizon: int | None,
 
 
 # ---------------------------------------------------------------------------
-# packed chamber slices
+# packed slices and the two count tables
 # ---------------------------------------------------------------------------
 
 class _PackedSlice:
-    """Sorted packed keys, offsets, and big-endian value bytes for one length."""
+    """Sorted packed keys, offsets, and big-endian value bytes for one
+    length.  starts[t] is where keys with top coordinate key >> shift == t
+    begin, so a lookup bisects only a short run of nearby keys."""
 
-    __slots__ = ("keys", "offsets", "blob")
+    __slots__ = ("keys", "offsets", "blob", "shift", "starts")
 
-    def __init__(self, entries: dict):
+    def __init__(self, entries: dict, shift: int):
         keys = sorted(entries)
+        self.shift = shift
+        self.starts = array("q", [
+            bisect.bisect_left(keys, t << shift)
+            for t in range((keys[-1] >> shift) + 2 if keys else 1)
+        ])
         if keys and keys[-1] <= 0x7FFF_FFFF_FFFF_FFFF:
             self.keys = array("q", keys)
         else:
             self.keys = keys
-        offsets = array("Q", [0])
-        chunks = []
-        pos = 0
-        for key in keys:
-            val = entries[key]
-            chunk = val.to_bytes((val.bit_length() + 7) // 8 or 1, "big")
-            chunks.append(chunk)
-            pos += len(chunk)
-            offsets.append(pos)
-        self.offsets = offsets
+        vals = [entries[key] for key in keys]
+        chunks = [v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in vals]
+        self.offsets = array("Q", accumulate(map(len, chunks), initial=0))
         self.blob = b"".join(chunks)
 
     def get(self, key: int) -> int:
-        keys = self.keys
-        i = bisect.bisect_left(keys, key)
-        if i == len(keys) or keys[i] != key:
+        top, starts = key >> self.shift, self.starts
+        if top + 1 >= len(starts):
+            return 0
+        keys, hi = self.keys, starts[top + 1]
+        i = bisect.bisect_left(keys, key, starts[top], hi)
+        if i == hi or keys[i] != key:
             return 0
         off = self.offsets
         return int.from_bytes(self.blob[off[i] : off[i + 1]], "big")
@@ -223,23 +229,87 @@ class _PackedSlice:
             yield unpack(key), int.from_bytes(blob[off[i] : off[i + 1]], "big")
 
 
-class ChamberTable:
-    """Chamber-confined partition-walk counts for all endpoints and lengths.
-
-    Built once per (k, max_len); immutable afterwards and safe to share.
-    With horizon=S (a session's total walk length) the table stores only
-    states a complete length-S walk can visit, and count() raises on
-    queries outside that envelope rather than return an unvetted zero.
+class _PackedTable:
+    """Walk counts for all endpoints and lengths 0..max_len, one packed
+    slice per length; `braid` tells the walk kind.  Built once, immutable
+    afterwards and safe to share.  With horizon=S (a session's total walk
+    length) the table stores only the states a complete length-S walk can
+    visit, and count() raises on queries outside that envelope rather than
+    return an unvetted zero; start_key, moves() and lookup() do not check.
     """
 
-    def __init__(self, k: int, max_len: int, horizon: int | None,
-                 slices: list[_PackedSlice]):
+    braid = False
+
+    def __init__(self, k: int, max_len: int, horizon: int | None, slices):
+        """`slices` yields one {packed point: count} dict per length."""
         self.k = k
         self.max_len = max_len
         self.horizon = horizon
-        self._slices = slices
-        self._pack, self._unpack, _ = _packer(k, _coord_bits(k, max_len))
+        bits = _coord_bits(k, max_len)
+        self._pack, self._unpack, self._shifts = _packer(k, bits)
+        self._slices = [_PackedSlice(sl, self._shifts[0]) for sl in slices]
+        self._mask = (1 << bits) - 1
         self._base = sum(start_point(k))
+        self.start_key = self._pack(start_point(k))
+        self._step_codes = {0: 0}
+        for i, sh in enumerate(self._shifts):
+            self._step_codes.update({1 << sh: i + 1, -(1 << sh): -i - 1})
+
+    @classmethod
+    def from_points(cls, k: int, max_len: int, horizon: int | None,
+                    slices: list[dict]):
+        """A table from one {point: count} dict per length."""
+        pack = _packer(k, _coord_bits(k, max_len))[0]
+        return cls(k, max_len, horizon,
+                   ({pack(v): c for v, c in sl.items()} for sl in slices))
+
+    def count(self, v: tuple[int, ...], s: int) -> int:
+        if len(v) != self.k - 1 or not in_chamber(v):
+            raise ValueError(f"point {v} is not in the chamber for k={self.k}")
+        if not 0 <= s <= self.max_len:
+            raise ValueError(
+                f"length {s} outside table range 0..{self.max_len}"
+            )
+        boxes = sum(v) - self._base
+        if boxes > _box_bound(0, s, self.braid):
+            return 0
+        if (self.horizon is not None
+                and boxes > _box_bound(s, self.horizon, self.braid)):
+            raise ValueError(
+                f"point {v} at length {s} lies outside the horizon envelope"
+            )
+        return self._slices[s].get(self._pack(v))
+
+    def slice_items(self, s: int):
+        """Iterate (point, count) over the stored support at length s, in
+        increasing point order."""
+        return self._slices[s].items(self._unpack)
+
+    def entry_count(self) -> int:
+        return sum(len(sl) for sl in self._slices)
+
+    def lookup(self, key: int, s: int) -> int:
+        """count() of a packed key, unchecked: 0 when nothing is stored."""
+        return self._slices[s].get(key)
+
+    def moves(self, key: int, s: int, adding: bool,
+              after_top: bool = False) -> list[tuple[int, int]]:
+        """(step, key) of each move the DP makes out of the one point `key`
+        onto slice s, in the step order of `walks.legal_steps`; after_top
+        drops remove(1), which may not follow add(1) in a loop-free walk."""
+        out: dict = {}
+        _advance({key: 1}, out, self._shifts, self._mask, self._base, adding,
+                 range(after_top, self.k - 1), True, _box_bound(0, s, self.braid))
+        return [(self._step_codes[q - key], q) for q in out]
+
+    def point(self, key: int) -> tuple[int, ...]:
+        return self._unpack(key)
+
+
+class ChamberTable(_PackedTable):
+    """Chamber-confined partition-walk counts for all endpoints and lengths."""
+
+    count = _PackedTable.count  # own attribute, so it can be wrapped per class
 
     @classmethod
     def build(
@@ -265,58 +335,16 @@ class ChamberTable:
                 f"{'loop-free' if loop_free else 'chamber'} table for k={k},"
                 f" max_len={max_len} needs ~{est} entries (limit {max_entries})"
             )
-        bits = _coord_bits(k, max_len)
-        slices = _walk_slices(k, max_len, horizon, loop_free, bits)
-        if loop_free:
-            _, unpack, _ = _packer(k, bits)
-            return LoopFreeTable(
-                k, max_len, horizon,
-                [{unpack(key): val for key, val in sl.items()} for sl in slices],
-            )
-        return cls(k, max_len, horizon, [_PackedSlice(sl) for sl in slices])
-
-    def count(self, v: tuple[int, ...], s: int) -> int:
-        if len(v) != self.k - 1 or not in_chamber(v):
-            raise ValueError(f"point {v} is not in the chamber for k={self.k}")
-        if not 0 <= s <= self.max_len:
-            raise ValueError(
-                f"length {s} outside table range 0..{self.max_len}"
-            )
-        boxes = sum(v) - self._base
-        if boxes > s // 2:
-            return 0
-        if self.horizon is not None and boxes > (self.horizon - s) // 2:
-            raise ValueError(
-                f"point {v} at length {s} lies outside the horizon envelope"
-            )
-        return self._slices[s].get(self._pack(v))
-
-    def slice_items(self, s: int):
-        """Iterate (point, count) over the stored support at length s."""
-        return self._slices[s].items(self._unpack)
-
-    def entry_count(self) -> int:
-        return sum(len(sl) for sl in self._slices)
+        table_cls = LoopFreeTable if loop_free else ChamberTable
+        return table_cls(k, max_len, horizon,
+                         _walk_slices(k, max_len, horizon, loop_free))
 
 
-# ---------------------------------------------------------------------------
-# loop-free braid-walk table
-# ---------------------------------------------------------------------------
+class LoopFreeTable(_PackedTable):
+    """Loop-free braid-walk counts for all endpoints and lengths <= walk_len."""
 
-class LoopFreeTable:
-    """Loop-free braid-walk counts for all endpoints and lengths <= walk_len.
-
-    With horizon=walk_len the table keeps only the states a complete walk
-    of that length can visit, and count() raises outside that envelope.
-    """
-
-    def __init__(self, k: int, walk_len: int, horizon: int | None,
-                 slices: list[dict]):
-        self.k = k
-        self.max_len = walk_len
-        self.horizon = horizon
-        self._slices = slices
-        self._base = sum(start_point(k))
+    braid = True
+    count = _PackedTable.count
 
     @classmethod
     def build(cls, k: int, walk_len: int, *,
@@ -324,28 +352,6 @@ class LoopFreeTable:
         if walk_len % 2:
             raise ValueError(f"walk_len must be even, got {walk_len}")
         return ChamberTable.build(k, walk_len, horizon=horizon, loop_free=True)
-
-    def count(self, v: tuple[int, ...], s: int) -> int:
-        if len(v) != self.k - 1 or not in_chamber(v):
-            raise ValueError(f"point {v} is not in the chamber for k={self.k}")
-        if not 0 <= s <= self.max_len:
-            raise ValueError(
-                f"length {s} outside table range 0..{self.max_len}"
-            )
-        boxes = sum(v) - self._base
-        if boxes > (s + 1) // 2:
-            return 0
-        if self.horizon is not None and boxes > (self.horizon - s + 1) // 2:
-            raise ValueError(
-                f"point {v} at length {s} lies outside the horizon envelope"
-            )
-        return self._slices[s].get(v, 0)
-
-    def slice_items(self, s: int):
-        return self._slices[s].items()
-
-    def entry_count(self) -> int:
-        return sum(len(sl) for sl in self._slices)
 
 
 # ---------------------------------------------------------------------------

@@ -547,7 +547,7 @@ def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
             walk = encode_partition(p, k)
             if decode_partition(walk) != p:
                 bad.append(p.to_text())
-        walks = _complete_partition_walks(k, n_bij)
+        walks = complete_partition_walks(k, n_bij)
         decoded = [decode_partition(w) for w in walks]
         distinct = len({p.blocks for p in decoded})
         ok = (
@@ -573,7 +573,7 @@ def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
     }
 
 
-def _complete_partition_walks(k: int, n: int):
+def complete_partition_walks(k: int, n: int):
     """Every complete partition walk of length 2n, by DFS over legal steps."""
     from .walks import Walk, legal_steps, apply_step
 

@@ -1,11 +1,13 @@
 """Exact-uniform sampling of chamber walks and their partitions.
 
-A session walks forward through the positions of a complete walk; at each
-position the candidate next shapes are weighted by the exact number of
-completions (a table lookup), and the choice is drawn with an integer
-rejection sampler, so every complete walk comes out with probability
-exactly 1/total.  Plain mode samples partition walks; regular mode samples
-loop-free braid walks and maps them back, yielding 2-regular partitions.
+A session walks the count table's packed chamber points.  At each position
+it draws u below the completions from the current point, then subtracts
+the completions of the table's moves out of it until u falls inside one
+(the recursive method of Nijenhuis and Wilf), so every complete walk has
+probability exactly 1/total.  Plain mode samples partition walks; regular
+mode samples loop-free braid walks a vertex (add, remove) at a time and
+maps them back to 2-regular partitions.  partition_weights, regular_weights
+and path_probability give the same weights on shapes, as a reference.
 
 All randomness flows through one seeded bit stream; given the seed, the
 sample stream is reproducible bit for bit.
@@ -33,10 +35,12 @@ from .walks import (
 
 
 class RandomBits:
-    """Deterministic seeded bit stream."""
+    """Deterministic seeded bit stream.  Seeds must be >= 0: random.Random
+    drops an int seed's sign, so -s would repeat the stream of s."""
 
     def __init__(self, seed: int):
-        self.seed = seed
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._rng = random.Random(seed)
 
     def block(self, width: int) -> int:
@@ -66,6 +70,32 @@ class TransitionWeights:
     total: int
 
 
+def walk_length(n: int, mode: str) -> int:
+    """Steps of the complete walk behind one sample of size n."""
+    return 2 * n if mode == "plain" else max(2 * (n - 1), 0)
+
+
+def session_table(k: int, n: int, mode: str, table=None):
+    """The count table of a (k, n, mode) session: `table` once checked to
+    fit, or else a freshly built one pruned to the session's walk length."""
+    walk_len = walk_length(n, mode)
+    table_cls = ChamberTable if mode == "plain" else LoopFreeTable
+    if table is None:
+        return table_cls.build(k, walk_len, horizon=walk_len)
+    if not isinstance(table, table_cls):
+        raise TypeError(f"{mode} mode needs a {table_cls.__name__}")
+    if table.k != k or table.max_len < walk_len:
+        raise ValueError(
+            f"table covers k={table.k} lengths <= {table.max_len},"
+            f" need k={k} length {walk_len}"
+        )
+    if table.horizon is not None and table.horizon != walk_len:
+        raise ValueError(
+            f"table horizon {table.horizon} does not match walk length {walk_len}"
+        )
+    return table
+
+
 class SamplerSession:
     """Immutable count tables plus one RNG stream producing uniform samples.
 
@@ -90,86 +120,71 @@ class SamplerSession:
         self.n = n
         self.mode = mode
         self.rng = RandomBits(seed)
-        self.walk_len = 2 * n if mode == "plain" else max(2 * (n - 1), 0)
-        table_cls = ChamberTable if mode == "plain" else LoopFreeTable
-        if table is None and n > 0:
-            table = table_cls.build(k, self.walk_len, horizon=self.walk_len)
-        if table is not None:
-            if not isinstance(table, table_cls):
-                raise TypeError(f"{mode} mode needs a {table_cls.__name__}")
-            if table.k != k or table.max_len < self.walk_len:
-                raise ValueError(
-                    f"table covers k={table.k} lengths <= {table.max_len},"
-                    f" need k={k} length {self.walk_len}"
-                )
-            if table.horizon is not None and table.horizon != self.walk_len:
-                raise ValueError(
-                    f"table horizon {table.horizon} does not match walk"
-                    f" length {self.walk_len}"
-                )
-        self.table = table
+        self.walk_len = walk_length(n, mode)
+        self.table = session_table(k, n, mode, table)
 
     @property
     def total(self) -> int:
         """Size of the sampled universe."""
-        if self.n == 0 or (self.mode == "regular" and self.n == 1):
-            return 1
         return self.table.count(start_point(self.k), self.walk_len)
 
     def draw(self) -> tuple[Walk, Partition]:
         """One uniform sample: the walk and its decoded partition."""
         if self.mode == "plain":
-            walk = self._draw_plain()
+            walk = Walk(PARTITION_WALK, self.k, self._draw_steps())
             return walk, decode_partition(walk)
-        walk = self._draw_regular()
+        walk = Walk(BRAID_WALK, self.k, self._draw_steps())
         if self.n == 0:
             return walk, Partition.from_blocks(0, [])
         return walk, braid_to_partition(decode_braid(walk))
 
-    # -- plain mode ---------------------------------------------------
+    def _draw_steps(self) -> tuple[int, ...]:
+        """Walk the table's packed chamber points from the start point; a
+        regular step draws a whole braid vertex (add, remove)."""
+        table, length = self.table, self.walk_len
+        key = table.start_key
+        total = table.lookup(key, length)
+        steps: list[int] = []
+        if self.mode == "plain":
+            for i in range(length):
+                left = length - i - 1
+                moves = table.moves(key, left, i % 2 == 1)
+                (step, key), total = self._pick(i, key, total, (
+                    (m, table.lookup(m[1], left)) for m in moves))
+                steps.append(step)
+            return tuple(steps)
+        for i in range(0, length, 2):
+            (add, mid, removes), total = self._pick(
+                i, key, total, self._vertices(key, length - i - 2))
+            (remove, key), total = self._pick(i + 1, mid, total, removes)
+            steps += (add, remove)
+        return tuple(steps)
 
-    def _draw_plain(self) -> Walk:
-        k, length = self.k, self.walk_len
-        steps = []
-        rows: tuple[int, ...] = ()
-        for i in range(length):
-            tw = partition_weights(self, rows, i)
-            choice = _pick(tw, self.rng)
-            steps.append(choice)
-            rows = apply_step(rows, choice)
-        return Walk(PARTITION_WALK, k, tuple(steps))
+    def _vertices(self, key: int, left: int):
+        """Each add out of `key`, weighted by the loop-free completions over
+        the removes that may follow it, with those weighted removes."""
+        table = self.table
+        for add, mid in table.moves(key, left + 1, True):
+            removes = [(m, table.lookup(m[1], left))
+                       for m in table.moves(mid, left, False, add == 1)]
+            yield (add, mid, removes), sum(w for _, w in removes)
 
-    # -- regular mode ---------------------------------------------------
-
-    def _draw_regular(self) -> Walk:
-        k, length = self.k, self.walk_len
-        steps = []
-        rows: tuple[int, ...] = ()
-        pending = 0
-        for i in range(length):
-            if i % 2 == 0:
-                tw = regular_weights(self, rows, i)
-                pending = _pick(tw, self.rng)
-                steps.append(pending)
-                rows = apply_step(rows, pending)
-            else:
-                tw = regular_weights(self, rows, i, pending)
-                choice = _pick(tw, self.rng)
-                steps.append(choice)
-                rows = apply_step(rows, choice)
-        return Walk(BRAID_WALK, k, tuple(steps))
-
-
-def _pick(tw: TransitionWeights, rng: RandomBits) -> int:
-    if tw.total <= 0:
-        raise InvariantError("zero total weight; tables are inconsistent")
-    u = uniform_below(tw.total, rng)
-    acc = 0
-    for step, weight in zip(tw.steps, tw.weights):
-        acc += weight
-        if u < acc:
-            return step
-    raise InvariantError("candidate weights sum below the stored total")
+    def _pick(self, i: int, key: int, total: int, weighted):
+        """Draw u below `total`, then subtract the weights of the
+        (candidate, weight) pairs in turn until u falls inside one."""
+        if total > 0:
+            u = uniform_below(total, self.rng)
+            for cand, weight in weighted:
+                if u < weight:
+                    return cand, weight
+                u -= weight
+            problem = f"candidate weights sum below the stored total {total}"
+        else:
+            problem = "zero total weight"
+        raise InvariantError(
+            f"{self.mode} k={self.k} n={self.n}: {problem} at position {i}"
+            f" (point {self.table.point(key)}); tables are inconsistent"
+        )
 
 
 def partition_weights(session: SamplerSession, rows: tuple[int, ...],

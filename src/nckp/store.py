@@ -18,13 +18,19 @@ Kind omega is a ChamberTable (partition walks), sigma_star a LoopFreeTable
 walk of that length can visit, and `none` marks an unpruned table.  Older
 sigma_star files always say `none` and still load.
 
-Counts are decimal strings, one entry per line.  Loading validates the
-header and refuses mismatched magic, version, kind, k or lengths.
+Counts are decimal strings, one entry per line, points in increasing order
+within each length.  Besides a bad header, truncation or a bad number,
+loading refuses a point outside the chamber, one with more boxes than its
+length can add or (with a horizon) still shed, and a repeated (point,
+length): samplers read the counts unchecked.
 """
 
 from __future__ import annotations
 
-from .counting import ChamberTable, LoopFreeTable, _PackedSlice, _coord_bits, _packer
+from operator import gt
+
+from .counting import ChamberTable, LoopFreeTable, _box_bound
+from .walks import start_point
 
 MAGIC = "nckp-tab"
 VERSION = 1
@@ -89,6 +95,13 @@ def load_tables(path):
         raise CacheError(f"malformed header: {exc}") from None
     if horizon is not None and horizon != max_len:
         raise CacheError(f"horizon {horizon} differs from max_len {max_len}")
+    braid = kind == "sigma_star"
+    if k < 2 + braid:
+        raise CacheError(f"{kind} table requires k >= {2 + braid}, got k={k}")
+    base = sum(start_point(k))
+    limits = [_box_bound(0, s, braid) if horizon is None
+              else min(_box_bound(0, s, braid), _box_bound(s, horizon, braid))
+              for s in range(max_len + 1)]  # most boxes a point may hold
     slices: list[dict] = [dict() for _ in range(max_len + 1)]
     lineno = 6
     for i in range(n_entries):
@@ -100,7 +113,7 @@ def load_tables(path):
                 f"entry with {len(fields)} fields, expected {k + 1} (line {lineno + 1})"
             )
         try:
-            nums = [int(x) for x in fields]
+            nums = list(map(int, fields))
         except ValueError:
             raise CacheError(f"malformed integer (line {lineno + 1})") from None
         v = tuple(nums[: k - 1])
@@ -109,14 +122,17 @@ def load_tables(path):
             raise CacheError(f"length {s} out of range (line {lineno + 1})")
         if count < 0:
             raise CacheError(f"negative count (line {lineno + 1})")
-        slices[s][v] = count
+        if v[-1] < 0 or not all(map(gt, v, v[1:])):
+            raise CacheError(f"point {v} is not in the chamber (line {lineno + 1})")
+        if sum(v) - base > limits[s]:
+            raise CacheError(f"point {v} at length {s} holds more than"
+                             f" {limits[s]} boxes (line {lineno + 1})")
+        sl = slices[s]
+        if v in sl:
+            raise CacheError(f"point {v} at length {s} listed twice (line {lineno + 1})")
+        sl[v] = count
         lineno += 1
     if lineno >= len(lines) or lines[lineno].strip() != "end":
         raise CacheError(f"truncated file: missing end marker (line {lineno + 1})")
-    if kind == "sigma_star":
-        if k < 3:
-            raise CacheError(f"sigma_star table requires k >= 3, got k={k}")
-        return LoopFreeTable(k, max_len, horizon, slices)
-    pack, _, _ = _packer(k, _coord_bits(k, max_len))
-    packed = [_PackedSlice({pack(v): c for v, c in sl.items()}) for sl in slices]
-    return ChamberTable(k, max_len, horizon, packed)
+    table_cls = LoopFreeTable if braid else ChamberTable
+    return table_cls.from_points(k, max_len, horizon, slices)

@@ -118,19 +118,11 @@ def legal_steps(
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     cls = step_class(1 if parity == "odd" else 2, kind)
     padded = rows + (0,) * (k - len(rows))
-    out = [0]
     if cls == "add":
-        for r in range(1, k):
-            if r == 1 or padded[r - 2] > padded[r - 1]:
-                out.append(r)
-    else:
-        forbid_top = forbid_loop_after == 1
-        for r in range(1, k):
-            if padded[r - 1] > 0 and padded[r - 1] > (padded[r] if r < k - 1 else 0):
-                if r == 1 and forbid_top:
-                    continue
-                out.append(-r)
-    return out
+        return [0] + [r for r in range(1, k)
+                      if r == 1 or padded[r - 2] > padded[r - 1]]
+    first = 2 if forbid_loop_after == 1 else 1
+    return [0] + [-r for r in range(first, k) if padded[r - 1] > padded[r]]
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,8 @@ def walk_from_text(kind: str, k: int, text: str) -> Walk:
 
 
 def validate_walk(walk: Walk, complete: bool = True) -> None:
-    """Check parity rules and shape validity; raise WalkError at the first violation.
+    """Check each step against legal_steps; raise WalkError at the first
+    violation.
 
     A complete walk must end at the empty shape.  Incomplete (prefix) walks
     may end anywhere.
@@ -197,21 +190,14 @@ def validate_walk(walk: Walk, complete: bool = True) -> None:
     k = walk.k
     for pos, st in enumerate(walk.steps, start=1):
         cls = step_class(pos, walk.kind)
-        if st > 0 and cls != "add":
-            raise WalkError(pos, f"add step at a {cls} position")
-        if st < 0 and cls != "remove":
-            raise WalkError(pos, f"remove step at a {cls} position")
-        if st != 0:
-            r = abs(st)
-            if r > k - 1:
-                raise WalkError(pos, f"row {r} out of range for k={k}")
-            padded = rows + (0,) * (k - len(rows))
-            if st > 0 and not (r == 1 or padded[r - 2] > padded[r - 1]):
-                raise WalkError(pos, f"cannot add to row {r} of {rows}")
-            if st < 0 and not (
-                padded[r - 1] > 0 and padded[r - 1] > (padded[r] if r < k - 1 else 0)
-            ):
-                raise WalkError(pos, f"cannot remove from row {r} of {rows}")
+        move = "add" if st > 0 else "remove"
+        if st != 0 and move != cls:
+            raise WalkError(pos, f"{move} step at a {cls} position")
+        if abs(st) > k - 1:
+            raise WalkError(pos, f"row {abs(st)} out of range for k={k}")
+        if st not in legal_steps(rows, k, "odd" if pos % 2 else "even", walk.kind):
+            verb = "add to" if st > 0 else "remove from"
+            raise WalkError(pos, f"cannot {verb} row {abs(st)} of {rows}")
         rows = apply_step(rows, st)
     if complete and rows != ():
         raise WalkError(len(walk.steps), f"walk ends at {rows}, not the empty shape")

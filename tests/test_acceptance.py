@@ -30,6 +30,7 @@ from nckp.oracle import (
     build_orthant_table,
     chamber_count,
     chi_square_uniformity,
+    complete_partition_walks,
     enum_filtered,
     enum_partitions,
     loop_free_even_count,
@@ -37,7 +38,7 @@ from nckp.oracle import (
     reflected_count,
 )
 from nckp.sampler import SamplerSession, path_probability
-from nckp.walks import Walk, apply_step, legal_steps, start_point
+from nckp.walks import start_point
 
 
 def criterion(num, name):
@@ -135,25 +136,6 @@ def test_criterion_3_inclusion_exclusion():
                 )
 
 
-def _complete_partition_walks(k, n):
-    out = []
-    steps = []
-
-    def rec(pos, rows):
-        if pos == 2 * n:
-            if rows == ():
-                out.append(Walk("P", k, tuple(steps)))
-            return
-        parity = "odd" if (pos + 1) % 2 else "even"
-        for st in legal_steps(rows, k, parity, "P"):
-            steps.append(st)
-            rec(pos + 1, apply_step(rows, st))
-            steps.pop()
-
-    rec(0, ())
-    return out
-
-
 @criterion(4, "bijection round trips")
 def test_criterion_4_bijection():
     for k in (2, 3, 4):
@@ -161,7 +143,7 @@ def test_criterion_4_bijection():
             universe = enum_filtered(n, k)
             for p in universe:
                 assert decode_partition(encode_partition(p, k)) == p
-            walks = _complete_partition_walks(k, n)
+            walks = complete_partition_walks(k, n)
             assert len(walks) == chamber_table(k, 20).count(start_point(k), 2 * n)
             decoded = set()
             for w in walks:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -240,3 +241,50 @@ def test_jobs_worker_seeds_do_not_overlap(capsys):
         outs.append(out.splitlines())
     for w in range(3):
         assert outs[0][w::3] != outs[1][w::3]
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "sample", "--k", "3", "--n", "5", "--count",
+                         "2", "--seed", "-2")
+    assert code == 2 and out == "" and "--seed" in err
+    code, out, err = run(capsys, "stats", "--k", "3", "--n", "5", "--samples",
+                         "10", "--seed", "-2", "--metric", "blocks")
+    assert code == 2 and out == "" and "--seed" in err
+
+
+def _corrupt(path, old, new):
+    lines = path.read_text().splitlines()
+    lines[lines.index(old)] = new
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_inconsistent_cache_names_where(capsys, tmp_path):
+    cache = tmp_path / "bad.tab"
+    run(capsys, "cache", "build", "--k", "3", "--n", "8", "--out", str(cache))
+    _corrupt(cache, "1 0 16 3930", "1 0 16 0")
+    code, out, err = run(capsys, "sample", "--k", "3", "--n", "8", "--count",
+                         "3", "--cache", str(cache))
+    assert code == 3 and out == ""
+    assert "plain k=3 n=8: zero total weight at position 0 (point (1, 0))" in err
+    cache = tmp_path / "bad_r.tab"
+    run(capsys, "cache", "build", "--k", "3", "--n", "6", "--regular",
+        "--out", str(cache))
+    _corrupt(cache, "1 0 10 51", "1 0 10 5100")
+    code, _, err = run(capsys, "sample", "--k", "3", "--n", "6", "--count",
+                       "3", "--regular", "--cache", str(cache))
+    assert code == 3 and str(cache) in err
+    assert re.search(
+        r"regular k=3 n=6: candidate weights sum below the stored total 5100"
+        r" at position 0 \(point \(1, 0\)\)", err), err
+
+
+def test_cache_with_repeated_entry_exits_3(capsys, tmp_path):
+    cache = tmp_path / "dup.tab"
+    run(capsys, "cache", "build", "--k", "3", "--n", "4", "--out", str(cache))
+    lines = cache.read_text().splitlines()
+    lines[5] = f"entries {int(lines[5].split()[1]) + 1}"
+    lines.insert(len(lines) - 1, "1 0 2 9")
+    cache.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "sample", "--k", "3", "--n", "4", "--count", "1",
+                       "--cache", str(cache))
+    assert code == 3 and "twice" in err

@@ -315,3 +315,43 @@ def test_count_just_outside_envelope_raises():
     assert lt.count((5, 0), 2) == 0
     with pytest.raises(ValueError):
         LoopFreeTable.build(3, horizon, horizon=horizon - 2)
+
+
+def test_moves_follow_legal_steps():
+    """The table's moves out of one point are the legal steps of its shape,
+    in the same order, with remove(1) left out after add(1)."""
+    from nckp.walks import (
+        BRAID_WALK, PARTITION_WALK, apply_step, legal_steps, point_to_shape,
+        shape_to_point,
+    )
+
+    for k in (2, 3, 4, 5):
+        tables = [ChamberTable.build(k, 20)]
+        if k >= 3:
+            tables.append(LoopFreeTable.build(k, 20))
+        for table in tables:
+            kind = BRAID_WALK if table.braid else PARTITION_WALK
+            cases = [("odd", False), ("even", False)]
+            if table.braid:
+                cases.append(("even", True))
+            for v, _ in table.slice_items(8):
+                rows = point_to_shape(v, k)
+                for parity, top in cases:
+                    adding = (parity == "odd") == table.braid
+                    steps = legal_steps(rows, k, parity, kind,
+                                        forbid_loop_after=1 if top else None)
+                    moves = table.moves(table._pack(v), 20, adding, top)
+                    assert [(st, table.point(q)) for st, q in moves] == [
+                        (st, shape_to_point(apply_step(rows, st), k))
+                        for st in steps
+                    ], (k, v, parity, top)
+                    for _, q in moves:
+                        assert table.lookup(q, 9) == table.count(table.point(q), 9)
+
+
+def test_moves_drop_points_the_slice_cannot_hold():
+    table = ChamberTable.build(3, 6)
+    start = table.start_key
+    # at length 1 no point holds a box, so only the do-nothing step is left
+    assert [st for st, _ in table.moves(start, 1, True)] == [0]
+    assert [st for st, _ in table.moves(start, 2, True)] == [0, 1]

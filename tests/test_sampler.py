@@ -200,3 +200,57 @@ def test_shared_table_between_sessions():
     a = SamplerSession(3, 6, "plain", seed=0, table=table)
     b = SamplerSession(3, 6, "plain", seed=0, table=table)
     assert [a.draw()[1] for _ in range(10)] == [b.draw()[1] for _ in range(10)]
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        RandomBits(-2)
+    with pytest.raises(ValueError, match="seed"):
+        SamplerSession(3, 4, "plain", seed=-1)
+
+
+def test_seeded_streams_unchanged():
+    import random
+
+    for seed in (0, 2, 2**70):
+        ref = random.Random(seed)
+        rng = RandomBits(seed)
+        assert [rng.block(w) for w in (1, 7, 64, 200)] == [
+            ref.getrandbits(w) for w in (1, 7, 64, 200)
+        ]
+
+
+def _shape_space_draw(session):
+    """The draw done on shapes: candidates from legal_steps, weights from
+    partition_weights / regular_weights through the checked count()."""
+    from nckp.walks import apply_step
+
+    rows, steps, pending = (), [], None
+    for i in range(session.walk_len):
+        if session.mode == "plain":
+            tw = partition_weights(session, rows, i)
+        else:
+            tw = regular_weights(session, rows, i, pending)
+        u = uniform_below(tw.total, session.rng)
+        for step, weight in zip(tw.steps, tw.weights):
+            if u < weight:
+                break
+            u -= weight
+        pending = step if session.mode == "regular" and i % 2 == 0 else None
+        steps.append(step)
+        rows = apply_step(rows, step)
+    return tuple(steps)
+
+
+def test_draw_matches_shape_space_sampler():
+    for k in (2, 3, 4, 5):
+        for mode in ("plain", "regular"):
+            if mode == "regular" and k < 3:
+                continue
+            for seed in (0, 1, 12345):
+                n = 7 if k < 5 else 5
+                table = SamplerSession(k, n, mode).table
+                packed = SamplerSession(k, n, mode, seed=seed, table=table)
+                shapes = SamplerSession(k, n, mode, seed=seed, table=table)
+                for _ in range(20):
+                    assert packed.draw()[0].steps == _shape_space_draw(shapes)

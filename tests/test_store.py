@@ -118,3 +118,63 @@ def test_horizon_must_equal_max_len(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError, match="horizon"):
         load_tables(path)
+
+
+def _add_entry(path, line):
+    """Insert one entry line before the end marker, keeping the header's
+    entry count right."""
+    lines = _lines(path)
+    lines[5] = f"entries {int(lines[5].split()[1]) + 1}"
+    lines.insert(len(lines) - 1, line)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_rejects_point_outside_chamber(tmp_path):
+    path = tmp_path / "t.tab"
+    save_tables(ChamberTable.build(3, 8), path)
+    _add_entry(path, "0 5 2 7")
+    with pytest.raises(CacheError, match="not in the chamber"):
+        load_tables(path)
+
+
+def test_rejects_more_boxes_than_the_length_can_add(tmp_path):
+    path = tmp_path / "t.tab"
+    save_tables(ChamberTable.build(3, 8), path)
+    _add_entry(path, "3 0 2 7")  # two boxes after two steps of one add
+    with pytest.raises(CacheError, match="holds more than"):
+        load_tables(path)
+    path = tmp_path / "r.tab"
+    save_tables(LoopFreeTable.build(3, 8), path)
+    _add_entry(path, "3 0 2 7")  # loop-free: one add in two steps too
+    with pytest.raises(CacheError, match="holds more than"):
+        load_tables(path)
+
+
+def test_rejects_point_outside_horizon_envelope(tmp_path):
+    path = tmp_path / "t.tab"
+    save_tables(ChamberTable.build(3, 8, horizon=8), path)
+    _add_entry(path, "2 0 7 1")  # one box, but only one step left to shed it
+    with pytest.raises(CacheError, match="holds more than"):
+        load_tables(path)
+
+
+def test_rejects_repeated_entry(tmp_path):
+    path = tmp_path / "t.tab"
+    save_tables(ChamberTable.build(3, 8), path)
+    assert "1 0 2 1" in _lines(path)
+    _add_entry(path, "1 0 2 9")
+    with pytest.raises(CacheError, match="twice"):
+        load_tables(path)
+
+
+def test_loop_free_table_is_stored_packed_in_point_order(tmp_path):
+    table = LoopFreeTable.build(4, 12, horizon=12)
+    for s in range(13):
+        points = [v for v, _ in table.slice_items(s)]
+        assert points == sorted(points)
+    path = tmp_path / "r4.tab"
+    save_tables(table, path)
+    loaded = load_tables(path)
+    assert loaded.entry_count() == table.entry_count()
+    for s in range(13):
+        assert list(loaded.slice_items(s)) == list(table.slice_items(s))

@@ -168,3 +168,41 @@ def test_complete_walk_balances_adds_and_removes():
             adds = sum(1 for s in walk.steps if s > 0)
             removes = sum(1 for s in walk.steps if s < 0)
             assert adds == removes
+
+
+def _shapes_up_to(boxes, parts):
+    """Every shape with at most `boxes` boxes and `parts` rows."""
+    out = [()]
+    for rows in out:
+        for r in range(1, parts + 1):
+            grown = apply_step(rows, r)
+            if (sum(grown) <= boxes and is_valid_shape(grown, parts + 1)
+                    and grown not in out):
+                out.append(grown)
+    return out
+
+
+def test_validate_walk_accepts_exactly_legal_steps():
+    for k in range(2, 6):
+        for rows in _shapes_up_to(4, k - 1):
+            # a legal prefix that fills the rows in order, one box per vertex
+            adds = [r for r, length in enumerate(rows, start=1)
+                    for _ in range(length)]
+            prefixes = {
+                PARTITION_WALK: tuple(x for r in adds for x in (0, r)),
+                BRAID_WALK: tuple(x for r in adds for x in (r, 0)),
+            }
+            for kind, prefix in prefixes.items():
+                for pad in ((), (0,)):
+                    walk = prefix + pad
+                    validate_walk(Walk(kind, k, walk), complete=False)
+                    parity = "even" if len(walk) % 2 else "odd"
+                    legal = set(legal_steps(rows, k, parity, kind))
+                    for st in range(-k, k + 1):
+                        trial = Walk(kind, k, walk + (st,))
+                        if st in legal:
+                            validate_walk(trial, complete=False)
+                        else:
+                            with pytest.raises(WalkError) as err:
+                                validate_walk(trial, complete=False)
+                            assert err.value.index == len(walk) + 1
