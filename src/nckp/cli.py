@@ -2,32 +2,28 @@
 
     nckp count  --k K --n N [--regular]
     nckp sample --k K --n N --count M [--seed S] [--regular]
-                [--format blocks|arcs|json] [--cache PATH] [--jobs J]
+                [--format blocks|arcs|json] [--cache PATH]
     nckp cache build --k K --n N [--regular] --out PATH
     nckp verify [--k-max 4] [--n-max 8]
     nckp stats  --k K --n N --samples M [--seed S] --metric blocks|arcs
     nckp render --format svg [--out PATH]
 
-Exit codes: 0 ok, 2 usage, 3 cache mismatch or inconsistent cache,
-4 verification failure.
-Sampling streams one partition per line; with --jobs J the output
-interleaves J independent per-worker streams round-robin, so output is
-deterministic for fixed flags.  Worker 0 is seeded with the seed itself
-(so --jobs 1 is the plain seeded stream); worker w > 0 with a SHA-256 hash
-of (seed, w), so no two (seed, w) pairs share a stream.
+Exit codes: 0 ok, 2 usage or a table too large to build, 3 a cache that
+is corrupt, stale (its digest no longer matches the table the DP builds)
+or does not fit the command, 4 verification failure.
+Sampling streams one partition per line, deterministic for a fixed seed.
 Relative --cache paths resolve under $NCKP_CACHE_DIR when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from collections import Counter
 
-from .counting import InvariantError, total_partitions, total_regular
+from .counting import TableLimitError, total_partitions, total_regular
 from .diagrams import parse_blocks_text
 from .render import render_svg
 from .sampler import SamplerSession, session_table
@@ -61,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regular", action="store_true")
     p.add_argument("--format", choices=["blocks", "arcs", "json"], default="blocks")
     p.add_argument("--cache", help="load preprocessed tables from this file")
-    p.add_argument("--jobs", type=int, default=1, help="independent worker streams")
 
     p = sub.add_parser("cache", help="table cache management")
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
@@ -144,37 +139,16 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def worker_seed(seed: int, w: int) -> int:
-    """Seed of worker w under --jobs: worker 0 keeps `seed`, worker w > 0
-    gets a 256-bit hash of (seed, w)."""
-    if w == 0:
-        return seed
-    digest = hashlib.sha256(f"nckp-jobs {seed} {w}".encode()).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _cmd_sample(args) -> int:
     if args.count < 0:
         return _fail("--count must be >= 0", USAGE_ERROR)
-    if args.jobs < 1:
-        return _fail("--jobs must be >= 1", USAGE_ERROR)
     mode = "regular" if args.regular else "plain"
-    table = _session_table(args)
-    jobs = min(args.jobs, max(args.count, 1))
-    sessions = [
-        SamplerSession(args.k, args.n, mode, seed=worker_seed(args.seed, w),
-                       table=table)
-        for w in range(jobs)
-    ]
+    session = SamplerSession(args.k, args.n, mode, seed=args.seed,
+                             table=_session_table(args))
     out = sys.stdout
-    try:
-        for m in range(args.count):
-            _, p = sessions[m % jobs].draw()
-            out.write(_format_sample(p, args.format) + "\n")
-    except InvariantError as exc:
-        if not args.cache:
-            raise
-        raise CacheError(f"cache {args.cache} is inconsistent: {exc}") from None
+    for _ in range(args.count):
+        _, p = session.draw()
+        out.write(_format_sample(p, args.format) + "\n")
     return 0
 
 
@@ -245,7 +219,7 @@ def main(argv=None) -> int:
             return _cmd_render(args)
     except CacheError as exc:
         return _fail(str(exc), CACHE_MISMATCH)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TableLimitError) as exc:
         return _fail(str(exc), USAGE_ERROR)
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -40,6 +40,7 @@ cross-checks of these tables.
 from __future__ import annotations
 
 import bisect
+import hashlib
 from array import array
 from itertools import accumulate
 from math import factorial
@@ -92,15 +93,19 @@ def _box_bound(s: int, horizon: int, braid: bool) -> int:
 
 
 def _estimate_entries(k: int, max_len: int, horizon: int | None,
-                      braid: bool = False) -> int:
+                      braid: bool, limit: int) -> int:
     """Rough upper bound on the stored states: a slice whose points hold at
-    most b boxes has about (b + k)^(k-1) / ((k-1)!)^2 chamber points."""
+    most b boxes has about (b + k)^(k-1) / ((k-1)!)^2 chamber points.  The
+    sum stops as soon as it passes `limit`, so a huge max_len costs no more
+    than the lengths it takes to get there."""
     total = 0
     for s in range(max_len + 1):
         b = _box_bound(0, s, braid)
         if horizon is not None:
             b = min(b, _box_bound(s, horizon, braid))
         total += (b + k) ** (k - 1) // factorial(k - 1) ** 2
+        if total > limit:
+            break
     return total
 
 
@@ -255,14 +260,6 @@ class _PackedTable:
         for i, sh in enumerate(self._shifts):
             self._step_codes.update({1 << sh: i + 1, -(1 << sh): -i - 1})
 
-    @classmethod
-    def from_points(cls, k: int, max_len: int, horizon: int | None,
-                    slices: list[dict]):
-        """A table from one {point: count} dict per length."""
-        pack = _packer(k, _coord_bits(k, max_len))[0]
-        return cls(k, max_len, horizon,
-                   ({pack(v): c for v, c in sl.items()} for sl in slices))
-
     def count(self, v: tuple[int, ...], s: int) -> int:
         if len(v) != self.k - 1 or not in_chamber(v):
             raise ValueError(f"point {v} is not in the chamber for k={self.k}")
@@ -287,6 +284,16 @@ class _PackedTable:
 
     def entry_count(self) -> int:
         return sum(len(sl) for sl in self._slices)
+
+    def digest(self) -> str:
+        """SHA-256 hex digest of the packed slices: each slice's keys and
+        offsets as decimal text, then its value bytes, so the digest does
+        not depend on the host's byte order and no entry is unpacked."""
+        h = hashlib.sha256()
+        for sl in self._slices:
+            h.update(repr((list(sl.keys), list(sl.offsets))).encode())
+            h.update(sl.blob)
+        return h.hexdigest()
 
     def lookup(self, key: int, s: int) -> int:
         """count() of a packed key, unchecked: 0 when nothing is stored."""
@@ -329,11 +336,11 @@ class ChamberTable(_PackedTable):
             raise ValueError(f"k must be >= {min_k}, got {k}")
         if horizon is not None and horizon != max_len:
             raise ValueError("horizon, when set, must equal max_len")
-        est = _estimate_entries(k, max_len, horizon, loop_free)
+        est = _estimate_entries(k, max_len, horizon, loop_free, max_entries)
         if est > max_entries:
             raise TableLimitError(
                 f"{'loop-free' if loop_free else 'chamber'} table for k={k},"
-                f" max_len={max_len} needs ~{est} entries (limit {max_entries})"
+                f" max_len={max_len} is estimated at more than {max_entries} entries"
             )
         table_cls = LoopFreeTable if loop_free else ChamberTable
         return table_cls(k, max_len, horizon,

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from nckp.counting import (
@@ -135,6 +137,14 @@ def test_table_limit_guard():
         build_orthant_table(3, 1600)
     with pytest.raises(TableLimitError):
         ChamberTable.build(4, 2000, horizon=2000)
+
+
+def test_oversized_table_fails_fast():
+    for loop_free in (False, True):
+        start = time.perf_counter()
+        with pytest.raises(TableLimitError):
+            ChamberTable.build(3, 10**12, loop_free=loop_free)
+        assert time.perf_counter() - start < 1
 
 
 def test_horizon_table_matches_full_on_envelope():

@@ -1,9 +1,16 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nckp.counting import ChamberTable, LoopFreeTable, total_partitions, total_regular
+from nckp.counting import (
+    ChamberTable,
+    InvariantError,
+    LoopFreeTable,
+    total_partitions,
+    total_regular,
+)
 from nckp.diagrams import is_k_noncrossing, is_m_regular
 from nckp.oracle import UniverseIndex, chi_square_uniformity, enum_filtered
 from nckp.sampler import (
@@ -254,3 +261,26 @@ def test_draw_matches_shape_space_sampler():
                 shapes = SamplerSession(k, n, mode, seed=seed, table=table)
                 for _ in range(20):
                     assert packed.draw()[0].steps == _shape_space_draw(shapes)
+
+
+def _doctored(table, s, point, count):
+    """A copy of `table` whose count of `point` at length s is `count`,
+    made with the packed-table constructor."""
+    slices = [{table._pack(v): c for v, c in table.slice_items(t)}
+              for t in range(table.max_len + 1)]
+    slices[s][table._pack(point)] = count
+    return type(table)(table.k, table.max_len, table.horizon, slices)
+
+
+def test_draw_on_inconsistent_table_names_where():
+    table = _doctored(ChamberTable.build(3, 16, horizon=16), 16, (1, 0), 0)
+    session = SamplerSession(3, 8, "plain", table=table)
+    with pytest.raises(InvariantError, match=re.escape(
+            "plain k=3 n=8: zero total weight at position 0 (point (1, 0))")):
+        session.draw()
+    table = _doctored(LoopFreeTable.build(3, 10, horizon=10), 10, (1, 0), 5100)
+    session = SamplerSession(3, 6, "regular", table=table)
+    with pytest.raises(InvariantError, match=re.escape(
+            "regular k=3 n=6: candidate weights sum below the stored total 5100"
+            " at position 0 (point (1, 0))")):
+        session.draw()
