@@ -129,11 +129,14 @@ def _decode(steps: tuple[int, ...], first: str) -> list[tuple[int, int]]:
     return arcs
 
 
-def decode_partition(walk: Walk) -> Partition:
-    """Decode a complete partition walk of length 2n into its partition."""
+def decode_partition(walk: Walk, *, validate: bool = True) -> Partition:
+    """Decode a complete partition walk of length 2n into its partition.
+    validate=False skips validate_walk, for walks legal by construction
+    (a sampler's draws); an illegal walk then decodes to garbage."""
     if walk.kind != PARTITION_WALK:
         raise ValueError(f"expected a partition walk, got kind {walk.kind!r}")
-    validate_walk(walk, complete=True)
+    if validate:
+        validate_walk(walk, complete=True)
     if len(walk.steps) % 2:
         raise WalkError(len(walk.steps), "complete walk must have even length")
     n = len(walk.steps) // 2
@@ -141,11 +144,13 @@ def decode_partition(walk: Walk) -> Partition:
     return blocks_from_arcs(n, arcs)
 
 
-def decode_braid(walk: Walk) -> Braid:
-    """Decode a complete braid walk of length 2n into its braid."""
+def decode_braid(walk: Walk, *, validate: bool = True) -> Braid:
+    """Decode a complete braid walk of length 2n into its braid;
+    validate=False as for decode_partition."""
     if walk.kind != BRAID_WALK:
         raise ValueError(f"expected a braid walk, got kind {walk.kind!r}")
-    validate_walk(walk, complete=True)
+    if validate:
+        validate_walk(walk, complete=True)
     if len(walk.steps) % 2:
         raise WalkError(len(walk.steps), "complete walk must have even length")
     n = len(walk.steps) // 2

@@ -25,12 +25,20 @@ remove steps, so pruning each slice never loses a state that a later kept
 state depends on.  Lookups outside the pruned region either return a
 provable zero or raise.
 
-Both tables store every slice packed (sorted key array + offset array +
-one bytes blob per length) because a sampling session at k=3, n=800 holds
-on the order of 10^7 entries whose values run to hundreds of digits.  A
-sampler reads a table on packed keys too: moves() runs the DP's step
-primitive on a one-point slice and lookup() reads a count, so the build
-and the draw share one step rule and the packing stays in this module.
+Both tables number their chamber points once, in graded order: by box
+count, then by packed key, so the start point is id 0.  Every point with
+at most _slice_cap(s) boxes has a walk of length s (add its boxes, then
+stay), so a slice's support is the id prefix [0, N_s); the constructor
+checks this (InvariantError otherwise) and stores every slice densely by
+id: TILE consecutive slices share an offset array and one bytes blob of
+big-endian values, interleaved by id, so a lookup is two array reads and
+a draw, which reads lengths s, s-1, ... at nearby ids, stays on the same
+memory pages for TILE steps.  (A sampling session at k=3, n=800 holds
+2 * 10^7 entries whose values run to hundreds of digits.)  A sampler
+reads a table by id: moves() lists the (step, target id) pairs out of one
+point, made once from the DP's step primitive, and lookup() reads a count,
+so the build and the draw share one step rule and the packing stays in
+this module.
 
 The paper's formulas -- the reflection sum over the orthant and the
 inclusion-exclusion over loops -- live in `oracle.py` as independent
@@ -39,10 +47,9 @@ cross-checks of these tables.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain, islice, zip_longest
 from math import factorial
 
 from .walks import in_chamber, start_point
@@ -53,8 +60,9 @@ class TableLimitError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """Counts contradict each other: a negative signed sum, or candidate
-    weights that fall short of the stored total."""
+    """Counts contradict each other: a negative signed sum, a slice whose
+    points are not a graded prefix, candidate weights that fall short of
+    the stored total, or a draw that does not end on the start point."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +100,41 @@ def _box_bound(s: int, horizon: int, braid: bool) -> int:
     return (horizon - s + braid) // 2
 
 
+def _slice_cap(s: int, horizon: int | None, braid: bool) -> int:
+    """Most boxes a stored point holds at length s: what s steps can add
+    and, under a horizon, what the remaining steps can still shed."""
+    b = _box_bound(0, s, braid)
+    return b if horizon is None else min(b, _box_bound(s, horizon, braid))
+
+
+def _top_cap(max_len: int, horizon: int | None, braid: bool) -> int:
+    """The largest _slice_cap over lengths 0..max_len: at the last length
+    unpruned, in the middle under a horizon."""
+    return max(_slice_cap(s, horizon, braid)
+               for s in (max_len // 2, (max_len + 1) // 2, max_len))
+
+
+def _points_upto(k: int, b: int) -> int:
+    """Rough count of the chamber points holding at most b boxes: a shape
+    of b boxes fills at most r = min(k-1, b) rows, and there are about
+    (b + r + 1)^r / (r!)^2 of them, whatever the size of k."""
+    r = min(k - 1, b)
+    return (b + r + 1) ** r // factorial(r) ** 2
+
+
 def _estimate_entries(k: int, max_len: int, horizon: int | None,
                       braid: bool, limit: int) -> int:
-    """Rough upper bound on the stored states: a slice whose points hold at
-    most b boxes has about (b + k)^(k-1) / ((k-1)!)^2 chamber points.  The
-    sum stops as soon as it passes `limit`, so a huge max_len costs no more
-    than the lengths it takes to get there."""
-    total = 0
+    """Rough upper bound on the table's size in entries: the k-1
+    coordinates of each numbered point, then the stored states of every
+    slice.  The coordinates come first, so a k the budget cannot hold fails
+    here, before any point of k-1 coordinates is made; the sum stops as soon
+    as it passes `limit`, so a huge max_len costs no more than the lengths
+    it takes to get there."""
+    total = (k - 1) * _points_upto(k, _top_cap(max_len, horizon, braid))
     for s in range(max_len + 1):
-        b = _box_bound(0, s, braid)
-        if horizon is not None:
-            b = min(b, _box_bound(s, horizon, braid))
-        total += (b + k) ** (k - 1) // factorial(k - 1) ** 2
         if total > limit:
             break
+        total += _points_upto(k, _slice_cap(s, horizon, braid))
     return total
 
 
@@ -187,78 +216,88 @@ def _walk_slices(k: int, max_len: int, horizon: int | None, loop_free: bool):
 
 
 # ---------------------------------------------------------------------------
-# packed slices and the two count tables
+# dense tiles and the two count tables
 # ---------------------------------------------------------------------------
 
-class _PackedSlice:
-    """Sorted packed keys, offsets, and big-endian value bytes for one
-    length.  starts[t] is where keys with top coordinate key >> shift == t
-    begin, so a lookup bisects only a short run of nearby keys."""
+TILE = 8  # lengths per _Tile
 
-    __slots__ = ("keys", "offsets", "blob", "shift", "starts")
 
-    def __init__(self, entries: dict, shift: int):
-        keys = sorted(entries)
-        self.shift = shift
-        self.starts = array("q", [
-            bisect.bisect_left(keys, t << shift)
-            for t in range((keys[-1] >> shift) + 2 if keys else 1)
-        ])
-        if keys and keys[-1] <= 0x7FFF_FFFF_FFFF_FFFF:
-            self.keys = array("q", keys)
-        else:
-            self.keys = keys
-        vals = [entries[key] for key in keys]
-        chunks = [v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in vals]
+class _Tile:
+    """The counts of TILE consecutive lengths, interleaved by point id:
+    entry e = i * TILE + j holds the count of id i at the tile's j-th
+    length as blob[offsets[e]:offsets[e + 1]] read big-endian, and is empty
+    past that length's prefix.  A draw reads lengths s, s-1, s-2, ... at
+    nearby ids, so one tile keeps its next reads on the memory pages of its
+    last ones."""
+
+    __slots__ = ("offsets", "blob")
+
+    def __init__(self, rows):
+        """`rows` holds up to TILE lists of counts, one per length, by id."""
+        rows = [[v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in vals]
+                for vals in rows]
+        rows += [[]] * (TILE - len(rows))
+        chunks = list(chain.from_iterable(zip_longest(*rows, fillvalue=b"")))
         self.offsets = array("Q", accumulate(map(len, chunks), initial=0))
         self.blob = b"".join(chunks)
 
-    def get(self, key: int) -> int:
-        top, starts = key >> self.shift, self.starts
-        if top + 1 >= len(starts):
-            return 0
-        keys, hi = self.keys, starts[top + 1]
-        i = bisect.bisect_left(keys, key, starts[top], hi)
-        if i == hi or keys[i] != key:
-            return 0
-        off = self.offsets
-        return int.from_bytes(self.blob[off[i] : off[i + 1]], "big")
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def items(self, unpack):
-        off = self.offsets
-        blob = self.blob
-        for i, key in enumerate(self.keys):
-            yield unpack(key), int.from_bytes(blob[off[i] : off[i + 1]], "big")
-
 
 class _PackedTable:
-    """Walk counts for all endpoints and lengths 0..max_len, one packed
-    slice per length; `braid` tells the walk kind.  Built once, immutable
-    afterwards and safe to share.  With horizon=S (a session's total walk
-    length) the table stores only the states a complete length-S walk can
-    visit, and count() raises on queries outside that envelope rather than
-    return an unvetted zero; start_key, moves() and lookup() do not check.
+    """Walk counts for all endpoints and lengths 0..max_len, dense by point
+    id in tiles of TILE lengths; `braid` tells the walk kind.  Built once,
+    immutable afterwards (but for the moves() memo, which only grows) and
+    safe to share.  With horizon=S (a session's total walk length) the table stores
+    only the states a complete length-S walk can visit, and count() raises
+    on queries outside that envelope rather than return an unvetted zero;
+    moves() and lookup() take point ids and do not check.
     """
 
     braid = False
+    start_id = 0  # the graded order puts the start point, with 0 boxes, first
 
     def __init__(self, k: int, max_len: int, horizon: int | None, slices):
-        """`slices` yields one {packed point: count} dict per length."""
+        """`slices` yields one {packed point: count} dict per length, whose
+        points must be a graded prefix (InvariantError otherwise)."""
         self.k = k
         self.max_len = max_len
         self.horizon = horizon
         bits = _coord_bits(k, max_len)
         self._pack, self._unpack, self._shifts = _packer(k, bits)
-        self._slices = [_PackedSlice(sl, self._shifts[0]) for sl in slices]
         self._mask = (1 << bits) - 1
         self._base = sum(start_point(k))
-        self.start_key = self._pack(start_point(k))
+        self._top = _top_cap(max_len, horizon, self.braid)
+        level = {self._pack(start_point(k)): 1}
+        self._keys = list(level)  # id -> packed point, by boxes, then key
+        for _ in range(self._top):
+            nxt: dict = {}
+            _advance(level, nxt, self._shifts, self._mask, self._base, True,
+                     range(k - 1), False, None)
+            self._keys += sorted(nxt)
+            level = nxt
+        self._ids = {key: i for i, key in enumerate(self._keys)}
+        dense = (self._dense(s, sl) for s, sl in enumerate(slices))
+        self._sizes: list[int] = []
+        self._tiles: list[_Tile] = []
+        while rows := list(islice(dense, TILE)):  # a tile at a time
+            self._sizes += map(len, rows)
+            self._tiles.append(_Tile(rows))
+        self._moves: dict = {}
         self._step_codes = {0: 0}
         for i, sh in enumerate(self._shifts):
             self._step_codes.update({1 << sh: i + 1, -(1 << sh): -i - 1})
+
+    def _dense(self, s: int, entries: dict) -> list[int]:
+        """The counts of a slice by id; its points must be ids
+        0..len(entries)-1."""
+        n = len(entries)
+        try:
+            if n > len(self._keys):
+                raise KeyError
+            vals = list(map(entries.__getitem__, self._keys[:n]))
+        except KeyError:
+            raise InvariantError(
+                f"the points of length {s} are not a graded prefix") from None
+        return vals
 
     def count(self, v: tuple[int, ...], s: int) -> int:
         if len(v) != self.k - 1 or not in_chamber(v):
@@ -275,42 +314,64 @@ class _PackedTable:
             raise ValueError(
                 f"point {v} at length {s} lies outside the horizon envelope"
             )
-        return self._slices[s].get(self._pack(v))
+        return self.lookup(self.point_id(v), s)
 
     def slice_items(self, s: int):
         """Iterate (point, count) over the stored support at length s, in
         increasing point order."""
-        return self._slices[s].items(self._unpack)
+        keys = self._keys
+        for i in sorted(range(self._sizes[s]), key=keys.__getitem__):
+            yield self._unpack(keys[i]), self.lookup(i, s)
 
     def entry_count(self) -> int:
-        return sum(len(sl) for sl in self._slices)
+        return sum(self._sizes)
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the packed slices: each slice's keys and
-        offsets as decimal text, then its value bytes, so the digest does
-        not depend on the host's byte order and no entry is unpacked."""
+        """SHA-256 hex digest of the dense layout: the graded keys, then
+        each tile's offsets as decimal text and its value bytes, so the
+        digest does not depend on the host's byte order and no entry is
+        unpacked."""
         h = hashlib.sha256()
-        for sl in self._slices:
-            h.update(repr((list(sl.keys), list(sl.offsets))).encode())
-            h.update(sl.blob)
+        h.update(repr(self._keys).encode())
+        for tile in self._tiles:
+            h.update(repr(list(tile.offsets)).encode())
+            h.update(tile.blob)
         return h.hexdigest()
 
-    def lookup(self, key: int, s: int) -> int:
-        """count() of a packed key, unchecked: 0 when nothing is stored."""
-        return self._slices[s].get(key)
+    def lookup(self, i: int, s: int) -> int:
+        """count() of point id i, unchecked: 0 past the slice's prefix."""
+        tile = self._tiles[s // TILE]
+        off, e = tile.offsets, i * TILE + s % TILE
+        try:
+            return int.from_bytes(tile.blob[off[e] : off[e + 1]], "big")
+        except IndexError:  # past the tile's longest prefix
+            return 0
 
-    def moves(self, key: int, s: int, adding: bool,
-              after_top: bool = False) -> list[tuple[int, int]]:
-        """(step, key) of each move the DP makes out of the one point `key`
+    def moves(self, i: int, s: int, adding: bool,
+              after_top: bool = False) -> tuple[tuple[int, int], ...]:
+        """(step, target id) of each move the DP makes out of point id i
         onto slice s, in the step order of `walks.legal_steps`; after_top
-        drops remove(1), which may not follow add(1) in a loop-free walk."""
-        out: dict = {}
-        _advance({key: 1}, out, self._shifts, self._mask, self._base, adding,
-                 range(after_top, self.k - 1), True, _box_bound(0, s, self.braid))
-        return [(self._step_codes[q - key], q) for q in out]
+        drops remove(1), which may not follow add(1) in a loop-free walk.
+        The moves of each (i, adding, after_top) are made once, by the DP's
+        step primitive, and cut here to the ids slice s holds."""
+        memo = self._moves.get((i, adding, after_top))
+        if memo is None:
+            key, out = self._keys[i], {}
+            _advance({key: 1}, out, self._shifts, self._mask, self._base,
+                     adding, range(after_top, self.k - 1), True, self._top)
+            found = tuple((self._step_codes[q - key], self._ids[q]) for q in out)
+            memo = self._moves[i, adding, after_top] = (
+                found, max((t for _, t in found), default=-1))
+        found, last = memo
+        n = self._sizes[s]
+        return found if last < n else tuple(m for m in found if m[1] < n)
 
-    def point(self, key: int) -> tuple[int, ...]:
-        return self._unpack(key)
+    def point(self, i: int) -> tuple[int, ...]:
+        return self._unpack(self._keys[i])
+
+    def point_id(self, v: tuple[int, ...]) -> int:
+        """The id of a chamber point that some slice can hold."""
+        return self._ids[self._pack(v)]
 
 
 class ChamberTable(_PackedTable):

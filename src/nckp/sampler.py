@@ -1,13 +1,22 @@
-"""Exact-uniform sampling of chamber walks and their partitions.
+"""Exact-uniform sampling of chamber walks and their partitions, by
+unranking.
 
-A session walks the count table's packed chamber points.  At each position
-it draws u below the completions from the current point, then subtracts
-the completions of the table's moves out of it until u falls inside one
-(the recursive method of Nijenhuis and Wilf), so every complete walk has
-probability exactly 1/total.  Plain mode samples partition walks; regular
-mode samples loop-free braid walks a vertex (add, remove) at a time and
-maps them back to 2-regular partitions.  partition_weights, regular_weights
-and path_probability give the same weights on shapes, as a reference.
+A draw takes one u = uniform_below(total) and unranks it: from the start
+point it walks the count table's point ids, and at each position subtracts
+the completions of the table's moves out of the current point until u falls
+inside one (the recursive method of Nijenhuis and Wilf, and of Flajolet,
+Zimmermann and Van Cutsem).  So unrank is a bijection from [0, total) onto
+the complete walks, every walk has probability exactly 1/total, and a draw
+uses one uniform_below.  Plain mode samples partition walks; regular mode
+samples loop-free braid walks a vertex (add, remove) at a time and maps
+them back to 2-regular partitions.  partition_weights, regular_weights and
+path_probability give the same weights on shapes, as a reference.
+
+A drawn walk takes only moves the table lists, so it is legal by
+construction and is decoded without walks.validate_walk.  What the draw
+does check, with InvariantError rather than assert, is what only a wrong
+table could break: that u falls inside some move at every position, and
+that the walk ends on the start point.
 
 All randomness flows through one seeded bit stream; given the seed, the
 sample stream is reproducible bit for bit.
@@ -42,9 +51,25 @@ class RandomBits:
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         self._rng = random.Random(seed)
+        self._bits = 0
+        self._blocks = 0
 
     def block(self, width: int) -> int:
-        return self._rng.getrandbits(width) if width else 0
+        if not width:
+            return 0
+        self._bits += width
+        self._blocks += 1
+        return self._rng.getrandbits(width)
+
+    @property
+    def bits(self) -> int:
+        """Random bits consumed so far."""
+        return self._bits
+
+    @property
+    def blocks(self) -> int:
+        """Nonempty blocks drawn so far."""
+        return self._blocks
 
 
 def uniform_below(total: int, rng: RandomBits) -> int:
@@ -125,65 +150,64 @@ class SamplerSession:
 
     @property
     def total(self) -> int:
-        """Size of the sampled universe."""
-        return self.table.count(start_point(self.k), self.walk_len)
+        """Size of the sampled universe; InvariantError if the table
+        stores 0 there."""
+        total = self.table.count(start_point(self.k), self.walk_len)
+        if total < 1:
+            raise self._inconsistent(0, self.table.start_id, "zero total weight")
+        return total
 
     def draw(self) -> tuple[Walk, Partition]:
-        """One uniform sample: the walk and its decoded partition."""
-        if self.mode == "plain":
-            walk = Walk(PARTITION_WALK, self.k, self._draw_steps())
-            return walk, decode_partition(walk)
-        walk = Walk(BRAID_WALK, self.k, self._draw_steps())
+        """One uniform sample, the walk and its decoded partition: the
+        unranking of one uniform_below(total)."""
+        return self.unrank(uniform_below(self.total, self.rng))
+
+    def unrank(self, u: int) -> tuple[Walk, Partition]:
+        """The walk of rank u in [0, total), and its partition.  Ranks
+        follow the step order of the table's moves, position by position."""
+        if not 0 <= u < self.total:
+            raise ValueError(f"rank {u} outside 0..{self.total - 1}")
+        table, length = self.table, self.walk_len
+        moves, lookup = table.moves, table.lookup
+        plain = self.mode == "plain"
+        cur, steps = table.start_id, []
+        for i in range(0, length, 1 if plain else 2):
+            left = length - i - (1 if plain else 2)
+            for move, nxt in (moves(cur, left, i % 2 == 1) if plain
+                              else self._vertices(cur, left)):
+                weight = lookup(nxt, left)
+                if u < weight:
+                    break
+                u -= weight
+            else:
+                raise self._inconsistent(
+                    i, cur, "candidate weights sum below the stored total"
+                    f" {lookup(cur, length - i)}")
+            steps.append(move)
+            cur = nxt
+        if cur != table.start_id:
+            raise self._inconsistent(length, cur, "the walk does not end on the"
+                                     " start point")
+        if plain:
+            walk = Walk(PARTITION_WALK, self.k, tuple(steps))
+            return walk, decode_partition(walk, validate=False)
+        walk = Walk(BRAID_WALK, self.k, tuple(st for pair in steps for st in pair))
         if self.n == 0:
             return walk, Partition.from_blocks(0, [])
-        return walk, braid_to_partition(decode_braid(walk))
+        return walk, braid_to_partition(decode_braid(walk, validate=False))
 
-    def _draw_steps(self) -> tuple[int, ...]:
-        """Walk the table's packed chamber points from the start point; a
-        regular step draws a whole braid vertex (add, remove)."""
-        table, length = self.table, self.walk_len
-        key = table.start_key
-        total = table.lookup(key, length)
-        steps: list[int] = []
-        if self.mode == "plain":
-            for i in range(length):
-                left = length - i - 1
-                moves = table.moves(key, left, i % 2 == 1)
-                (step, key), total = self._pick(i, key, total, (
-                    (m, table.lookup(m[1], left)) for m in moves))
-                steps.append(step)
-            return tuple(steps)
-        for i in range(0, length, 2):
-            (add, mid, removes), total = self._pick(
-                i, key, total, self._vertices(key, length - i - 2))
-            (remove, key), total = self._pick(i + 1, mid, total, removes)
-            steps += (add, remove)
-        return tuple(steps)
+    def _vertices(self, cur: int, left: int):
+        """((add, remove), target) of each loop-free braid vertex out of
+        point id `cur`, leaving `left` steps."""
+        moves = self.table.moves
+        for add, mid in moves(cur, left + 1, True):
+            for remove, nxt in moves(mid, left, False, add == 1):
+                yield (add, remove), nxt
 
-    def _vertices(self, key: int, left: int):
-        """Each add out of `key`, weighted by the loop-free completions over
-        the removes that may follow it, with those weighted removes."""
-        table = self.table
-        for add, mid in table.moves(key, left + 1, True):
-            removes = [(m, table.lookup(m[1], left))
-                       for m in table.moves(mid, left, False, add == 1)]
-            yield (add, mid, removes), sum(w for _, w in removes)
-
-    def _pick(self, i: int, key: int, total: int, weighted):
-        """Draw u below `total`, then subtract the weights of the
-        (candidate, weight) pairs in turn until u falls inside one."""
-        if total > 0:
-            u = uniform_below(total, self.rng)
-            for cand, weight in weighted:
-                if u < weight:
-                    return cand, weight
-                u -= weight
-            problem = f"candidate weights sum below the stored total {total}"
-        else:
-            problem = "zero total weight"
-        raise InvariantError(
+    def _inconsistent(self, i: int, cur: int, problem: str) -> InvariantError:
+        return InvariantError(
             f"{self.mode} k={self.k} n={self.n}: {problem} at position {i}"
-            f" (point {self.table.point(key)}); tables are inconsistent"
+            f" (point {self.table.point(cur)}); tables are inconsistent"
         )
 
 

@@ -1,12 +1,12 @@
 """Versioned on-disk cache for count tables: a manifest, not a dump.
 
-    nckp-tab 2
+    nckp-tab 3
     kind omega            (or sigma_star)
     k 3
     max_len 20
     horizon 20            (or none for an unpruned table)
     entries 100
-    sha256 <hex digest of the table's packed slices>
+    sha256 <hex digest of the table's dense layout>
 
 Kind omega is a ChamberTable (partition walks), sigma_star a LoopFreeTable
 (loop-free braid walks).  For omega the horizon is 2n, for sigma_star it is
@@ -19,9 +19,13 @@ machine: 0.17 s against 0.33 s for 4 MB of text), and counts read from
 disk would each have to be checked before a sampler could trust them.  So
 load_tables reads the seven header lines, rebuilds the named table with
 ChamberTable.build, and accepts it only when its entry count and digest
-equal the recorded ones.  A file that was edited, cut short, written by a
-DP that counts differently, or written in version 1 (the old count dump)
-raises CacheError naming the file; `nckp cache build` writes a fresh one.
+equal the recorded ones.  The digest covers the table's dense layout (its
+graded point ids and each tile's offsets and value bytes, see
+counting.py), so a change of layout changes the version: version 2 pinned
+the digest of the earlier sorted-key slices and version 1 was a count
+dump.  A file that was edited, cut short, written by a DP that counts
+differently, or written in another version raises CacheError naming the
+file; `nckp cache build` writes a fresh one.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from .counting import ChamberTable, LoopFreeTable, TableLimitError
 
 MAGIC = "nckp-tab"
-VERSION = 2
+VERSION = 3
 FIELDS = ("kind", "k", "max_len", "horizon", "entries", "sha256")
 KINDS = {"omega": ChamberTable, "sigma_star": LoopFreeTable}
 LINE_MAX = 128  # bytes, newline included; the sha256 line takes 72

@@ -246,6 +246,8 @@ CORRUPTIONS = {
     "non_integer_max_len": lambda p: _edit_line(p, 3, "max_len 16.0"),
     "oversized_max_len": lambda p: (_edit_line(p, 3, "max_len 99999999"),
                                     _edit_line(p, 4, "horizon 99999999")),
+    "huge_k": lambda p: _edit_line(p, 2, "k 99999999"),
+    "v2_file": lambda p: _edit_line(p, 0, "nckp-tab 2"),
 }
 
 
@@ -281,7 +283,9 @@ def test_oversized_table_is_a_usage_error(capsys, tmp_path):
                  ("count", "--k", "3", "--n", "10000000", "--regular"),
                  ("sample", "--k", "3", "--n", "10000000", "--count", "1"),
                  ("cache", "build", "--k", "3", "--n", "10000000", "--out",
-                  str(tmp_path / "c.tab"))):
+                  str(tmp_path / "c.tab")),
+                 ("count", "--k", "100000000", "--n", "4"),
+                 ("sample", "--k", "100000000", "--n", "4", "--count", "1")):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 5

@@ -141,10 +141,11 @@ def test_table_limit_guard():
 
 def test_oversized_table_fails_fast():
     for loop_free in (False, True):
-        start = time.perf_counter()
-        with pytest.raises(TableLimitError):
-            ChamberTable.build(3, 10**12, loop_free=loop_free)
-        assert time.perf_counter() - start < 1
+        for k, max_len in ((3, 10**12), (10**8, 8)):
+            start = time.perf_counter()
+            with pytest.raises(TableLimitError):
+                ChamberTable.build(k, max_len, loop_free=loop_free)
+            assert time.perf_counter() - start < 1
 
 
 def test_horizon_table_matches_full_on_envelope():
@@ -350,7 +351,7 @@ def test_moves_follow_legal_steps():
                     adding = (parity == "odd") == table.braid
                     steps = legal_steps(rows, k, parity, kind,
                                         forbid_loop_after=1 if top else None)
-                    moves = table.moves(table._pack(v), 20, adding, top)
+                    moves = table.moves(table.point_id(v), 20, adding, top)
                     assert [(st, table.point(q)) for st, q in moves] == [
                         (st, shape_to_point(apply_step(rows, st), k))
                         for st in steps
@@ -361,7 +362,53 @@ def test_moves_follow_legal_steps():
 
 def test_moves_drop_points_the_slice_cannot_hold():
     table = ChamberTable.build(3, 6)
-    start = table.start_key
+    start = table.start_id
     # at length 1 no point holds a box, so only the do-nothing step is left
     assert [st for st, _ in table.moves(start, 1, True)] == [0]
     assert [st for st, _ in table.moves(start, 2, True)] == [0, 1]
+
+
+def _shapes_upto(rows, boxes, widest=None):
+    """Every Young shape of at most `rows` rows and `boxes` boxes."""
+    yield ()
+    if rows == 0:
+        return
+    for first in range(1, min(boxes, widest or boxes) + 1):
+        for rest in _shapes_upto(rows - 1, boxes - first, first):
+            yield (first,) + rest
+
+
+def test_support_is_every_point_up_to_the_box_bound():
+    """The dense layout rests on this: at each length the stored points are
+    exactly the chamber points with at most _box_bound boxes (two-sided
+    under a horizon), each with a positive count, numbered as a prefix."""
+    from nckp.walks import shape_to_point
+
+    for k in (2, 3, 4, 5, 6):
+        for loop_free in (False, True):
+            if loop_free and k < 3:
+                continue
+            max_len = 14 if k < 6 else 10
+            for horizon in (None, max_len):
+                table = ChamberTable.build(k, max_len, horizon=horizon,
+                                           loop_free=loop_free)
+                for s in range(max_len + 1):
+                    cap = (s + loop_free) // 2
+                    if horizon is not None:
+                        cap = min(cap, (horizon - s + loop_free) // 2)
+                    expected = {shape_to_point(rows, k)
+                                for rows in _shapes_upto(k - 1, cap)}
+                    stored = dict(table.slice_items(s))
+                    assert set(stored) == expected, (k, loop_free, horizon, s)
+                    assert all(c > 0 for c in stored.values())
+                    assert sorted(map(table.point_id, stored)) == list(
+                        range(len(stored)))
+
+
+def test_slices_must_be_graded_prefixes():
+    table = ChamberTable.build(3, 6)
+    slices = [{table._pack(v): c for v, c in table.slice_items(s)}
+              for s in range(7)]
+    del slices[4][table._pack((1, 0))]
+    with pytest.raises(InvariantError, match="length 4"):
+        ChamberTable(3, 6, None, slices)

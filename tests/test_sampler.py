@@ -228,17 +228,18 @@ def test_seeded_streams_unchanged():
 
 
 def _shape_space_draw(session):
-    """The draw done on shapes: candidates from legal_steps, weights from
-    partition_weights / regular_weights through the checked count()."""
+    """The draw done on shapes: one u below the total, unranked over the
+    candidates of legal_steps weighted by partition_weights /
+    regular_weights through the checked count()."""
     from nckp.walks import apply_step
 
     rows, steps, pending = (), [], None
+    u = uniform_below(session.total, session.rng)
     for i in range(session.walk_len):
         if session.mode == "plain":
             tw = partition_weights(session, rows, i)
         else:
             tw = regular_weights(session, rows, i, pending)
-        u = uniform_below(tw.total, session.rng)
         for step, weight in zip(tw.steps, tw.weights):
             if u < weight:
                 break
@@ -284,3 +285,77 @@ def test_draw_on_inconsistent_table_names_where():
             "regular k=3 n=6: candidate weights sum below the stored total 5100"
             " at position 0 (point (1, 0))")):
         session.draw()
+
+
+def test_unrank_is_a_bijection_onto_the_oracle_set():
+    for k in (2, 3, 4, 5):
+        for mode in ("plain", "regular"):
+            if mode == "regular" and k < 3:
+                continue
+            for n in range(7 if k < 5 else 6):
+                session = SamplerSession(k, n, mode)
+                ranked = Counter(session.unrank(u)[1].blocks
+                                 for u in range(session.total))
+                expected = enum_filtered(n, k, 2 if mode == "regular" else None)
+                assert ranked == Counter(p.blocks for p in expected), (k, mode, n)
+                with pytest.raises(ValueError):
+                    session.unrank(session.total)
+
+
+def test_draw_is_unrank_of_one_uniform_below():
+    session = SamplerSession(3, 9, "plain", seed=5)
+    rng = RandomBits(5)
+    for _ in range(20):
+        assert session.draw() == session.unrank(uniform_below(session.total, rng))
+
+
+def test_draw_that_cannot_end_on_the_start_point_raises_under_python_O():
+    """Slice 0 doctored to hold no walk at the start point and one at (2, 0):
+    every draw then ends on (2, 0), which the draw must catch without assert."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+from nckp.counting import ChamberTable, InvariantError, LoopFreeTable
+from nckp.sampler import SamplerSession
+
+for mode, table in (("plain", ChamberTable.build(3, 8, horizon=8)),
+                    ("regular", LoopFreeTable.build(3, 6, horizon=6))):
+    slices = [{table._pack(v): c for v, c in table.slice_items(t)}
+              for t in range(table.max_len + 1)]
+    slices[0] = {table._pack((1, 0)): 0, table._pack((2, 0)): 1}
+    doctored = type(table)(3, table.max_len, table.horizon, slices)
+    session = SamplerSession(3, 4, mode, seed=3, table=doctored)
+    for _ in range(5):
+        try:
+            session.draw()
+        except InvariantError as exc:
+            assert "does not end on the start point" in str(exc)
+            print(mode, "raised")
+        else:
+            print(mode, "drew")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["plain raised"] * 5 + ["regular raised"] * 5 + [""]
+
+
+def test_random_bits_counters():
+    session = SamplerSession(3, 60, "plain", seed=17)
+    width = (session.total - 1).bit_length()
+    rng = session.rng
+    assert (rng.bits, rng.blocks) == (0, 0)
+    per_draw = []
+    for _ in range(500):
+        bits = rng.bits
+        session.draw()
+        per_draw.append(rng.bits - bits)
+    assert all(b > 0 and b % width == 0 for b in per_draw)
+    assert rng.blocks == sum(per_draw) // width
+    assert rng.blocks / 500 < 2
+    with pytest.raises(AttributeError):
+        rng.bits = 0

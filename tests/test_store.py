@@ -122,7 +122,7 @@ def test_manifest_names_the_table_and_holds_no_counts(tmp_path):
     path = tmp_path / "r.tab"
     save_tables(table, path)
     assert _lines(path) == [
-        "nckp-tab 2", "kind sigma_star", "k 3", "max_len 10", "horizon 10",
+        "nckp-tab 3", "kind sigma_star", "k 3", "max_len 10", "horizon 10",
         f"entries {table.entry_count()}", f"sha256 {table.digest()}",
     ]
 
@@ -146,3 +146,14 @@ def test_digest_pins_every_count():
         slices[s][key] += 1
         assert ChamberTable(3, 12, 12, slices).digest() != table.digest()
         slices[s][key] -= 1
+
+
+def test_version_2_cache_asks_for_a_rebuild(tmp_path):
+    path = tmp_path / "t.tab"
+    save_tables(ChamberTable.build(3, 8, horizon=8), path)
+    lines = _lines(path)
+    lines[0] = "nckp-tab 2"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheError, match="unsupported cache version 2 .*"
+                       "rebuild it with nckp cache build"):
+        load_tables(path)
