@@ -33,15 +33,6 @@ from .diagrams import (
     max_crossing_brute,
     parse_blocks_text,
 )
-from .oracle import (
-    OrthantTable,
-    build_orthant_table,
-    chamber_count,
-    loop_free_even_count,
-    loop_free_odd_count,
-    reflected_count,
-    signed_permutations,
-)
 from .sampler import (
     RandomBits,
     SamplerSession,
@@ -71,3 +62,24 @@ from .walks import (
 )
 
 __version__ = "0.1.0"
+
+# The oracles are cross-checks that the commands do not need; they load on
+# first use (PEP 562), so `import nckp.cli` stays light.
+_ORACLE_NAMES = frozenset({
+    "OrthantTable",
+    "build_orthant_table",
+    "chamber_count",
+    "loop_free_even_count",
+    "loop_free_odd_count",
+    "reflected_count",
+    "signed_permutations",
+})
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        from importlib import import_module
+
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,6 +12,12 @@ Exit codes: 0 ok, 2 usage or a table too large to build, 3 a cache that
 is corrupt, stale (its digest no longer matches the table the DP builds)
 or does not fit the command, 4 verification failure.
 Sampling streams one partition per line, deterministic for a fixed seed.
+Counting, sampling and `cache build` all work on half-length tables: a
+complete walk is cut at its midpoint into two walks from the start point,
+so `count` keeps only the last DP slices, and a cache built for --n N
+holds an unpruned table of the half length, which serves every --n up to
+N (up to N+1 with --regular, whose walks have even length 2(N-1)).
+The sample stream for a seed does not depend on the table that serves it.
 Relative --cache paths resolve under $NCKP_CACHE_DIR when it is set.
 """
 
@@ -109,7 +115,8 @@ def _resolve_cache(path: str) -> str:
 
 def _session_table(args):
     """The count table of the sample or cache build command: the --cache
-    file's, once checked to fit, or else a freshly built pruned one."""
+    file's, once checked to hold the half length --n needs, or else a
+    freshly built one of that length."""
     mode = "regular" if args.regular else "plain"
     if not getattr(args, "cache", None):
         return session_table(args.k, args.n, mode)

@@ -16,14 +16,27 @@ loop-free walks the state after an odd (add) step also records whether
 that step added to row 1, and the following remove(1) is then skipped.
 All counts are exact Python ints; no floating point is involved anywhere.
 
-A session-sized table (horizon=S, the session's walk length) keeps only
-the states a complete length-S walk can visit: a point with b boxes is kept
-at length s only while the remaining S - s steps hold at least b removes,
+A complete walk of length S is cut at its midpoint: after m steps it sits
+at some point v, and its last S - m steps, reversed and inverted, are a
+walk of the same kind from the start point to v.  Both walk kinds are
+closed under that reversal (a loop vertex (add 1, remove 1) reverses to
+itself), so the number of complete walks is sum_v f(v, m) * f(v, S - m),
+where f counts walks from the start point (half_lengths gives m and
+S - m; the cut falls on a vertex boundary for braid walks).  So counting
+and sampling need only a table of length S - m <= S/2 + 1, with no
+horizon, and one such table serves every shorter walk too.
+total_partitions and total_regular keep just the last DP slices and build
+no table at all.
+
+ChamberTable.build(..., horizon=S) still makes a table pruned to the
+states a complete length-S walk can visit: a point with b boxes is kept at
+length s only while the remaining S - s steps hold at least b removes,
 that is b <= (S - s) // 2 for partition walks and b <= (S - s + 1) // 2 for
 braid walks.  The bound drops by at most one per step, and exactly on
 remove steps, so pruning each slice never loses a state that a later kept
-state depends on.  Lookups outside the pruned region either return a
-provable zero or raise.
+state depends on; count() raises on queries outside that envelope.  Up to
+length S/2 the pruned slices equal the unpruned ones, so such a table
+serves walks whose half length is at most S/2.
 
 Both tables number their chamber points once, in graded order: by box
 count, then by packed key, so the start point is id 0.  Every point with
@@ -33,12 +46,10 @@ checks this (InvariantError otherwise) and stores every slice densely by
 id: TILE consecutive slices share an offset array and one bytes blob of
 big-endian values, interleaved by id, so a lookup is two array reads and
 a draw, which reads lengths s, s-1, ... at nearby ids, stays on the same
-memory pages for TILE steps.  (A sampling session at k=3, n=800 holds
-2 * 10^7 entries whose values run to hundreds of digits.)  A sampler
-reads a table by id: moves() lists the (step, target id) pairs out of one
-point, made once from the DP's step primitive, and lookup() reads a count,
-so the build and the draw share one step rule and the packing stays in
-this module.
+memory pages for TILE steps.  A sampler reads a table by id: moves()
+lists the (step, target id) pairs out of one point, made once from the
+DP's step primitive, and lookup() reads a count, so the build and the
+draw share one step rule and the packing stays in this module.
 
 The paper's formulas -- the reflection sum over the orthant and the
 inclusion-exclusion over loops -- live in `oracle.py` as independent
@@ -136,6 +147,29 @@ def _estimate_entries(k: int, max_len: int, horizon: int | None,
             break
         total += _points_upto(k, _slice_cap(s, horizon, braid))
     return total
+
+
+MAX_ENTRIES = 80_000_000  # default size budget of a table, in entries
+
+
+def _check_size(k: int, max_len: int, horizon: int | None, braid: bool,
+                max_entries: int = MAX_ENTRIES) -> None:
+    """TableLimitError, before any work, when the table of these
+    parameters is estimated past `max_entries` entries."""
+    if _estimate_entries(k, max_len, horizon, braid, max_entries) > max_entries:
+        raise TableLimitError(
+            f"{'loop-free' if braid else 'chamber'} table for k={k},"
+            f" max_len={max_len} is estimated at more than {max_entries} entries"
+        )
+
+
+def half_lengths(walk_len: int, braid: bool) -> tuple[int, int]:
+    """(m, h): a complete walk of length walk_len is cut after m steps, and
+    both parts are walks from the start point, of lengths m and h =
+    walk_len - m.  Braid walks are cut on a vertex boundary, so m is even;
+    m <= h <= walk_len // 2 + 1."""
+    m = 2 * (walk_len // 4) if braid else walk_len // 2
+    return m, walk_len - m
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +280,10 @@ class _PackedTable:
     """Walk counts for all endpoints and lengths 0..max_len, dense by point
     id in tiles of TILE lengths; `braid` tells the walk kind.  Built once,
     immutable afterwards (but for the moves() memo, which only grows) and
-    safe to share.  With horizon=S (a session's total walk length) the table stores
-    only the states a complete length-S walk can visit, and count() raises
-    on queries outside that envelope rather than return an unvetted zero;
-    moves() and lookup() take point ids and do not check.
+    safe to share.  With horizon=S the table stores only the states a
+    complete length-S walk can visit, and count() raises on queries outside
+    that envelope rather than return an unvetted zero; moves() and lookup()
+    take point ids and do not check.
     """
 
     braid = False
@@ -315,6 +349,24 @@ class _PackedTable:
                 f"point {v} at length {s} lies outside the horizon envelope"
             )
         return self.lookup(self.point_id(v), s)
+
+    @property
+    def max_half(self) -> int:
+        """The longest half length (see half_lengths) the table serves: its
+        max_len, or half its horizon, up to which its slices are unpruned."""
+        return self.max_len if self.horizon is None else self.horizon // 2
+
+    def midpoint_weights(self, walk_len: int) -> list[int]:
+        """By point id v, f(v, m) * f(v, h) for the cut (m, h) of
+        half_lengths: the number of complete walks of length walk_len that
+        are at v after m steps.  Their sum is the number of complete walks."""
+        m, h = half_lengths(walk_len, self.braid)
+        if h > self.max_half:
+            raise ValueError(f"table serves half lengths <= {self.max_half},"
+                             f" a walk of length {walk_len} needs {h}")
+        lookup = self.lookup
+        return [lookup(i, m) * lookup(i, h)
+                for i in range(min(self._sizes[m], self._sizes[h]))]
 
     def slice_items(self, s: int):
         """Iterate (point, count) over the stored support at length s, in
@@ -386,7 +438,7 @@ class ChamberTable(_PackedTable):
         max_len: int,
         *,
         horizon: int | None = None,
-        max_entries: int = 80_000_000,
+        max_entries: int = MAX_ENTRIES,
         loop_free: bool = False,
     ):
         """Run the chamber DP.  With loop_free=True the same engine counts
@@ -397,12 +449,7 @@ class ChamberTable(_PackedTable):
             raise ValueError(f"k must be >= {min_k}, got {k}")
         if horizon is not None and horizon != max_len:
             raise ValueError("horizon, when set, must equal max_len")
-        est = _estimate_entries(k, max_len, horizon, loop_free, max_entries)
-        if est > max_entries:
-            raise TableLimitError(
-                f"{'loop-free' if loop_free else 'chamber'} table for k={k},"
-                f" max_len={max_len} is estimated at more than {max_entries} entries"
-            )
+        _check_size(k, max_len, horizon, loop_free, max_entries)
         table_cls = LoopFreeTable if loop_free else ChamberTable
         return table_cls(k, max_len, horizon,
                          _walk_slices(k, max_len, horizon, loop_free))
@@ -426,6 +473,24 @@ class LoopFreeTable(_PackedTable):
 # totals
 # ---------------------------------------------------------------------------
 
+def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
+    """Number of complete walks of length walk_len: sum_v f(v, m) * f(v, h)
+    over the cut of half_lengths, read from `table` or else from the last
+    DP slices, without numbering points or building tiles."""
+    if table is not None:
+        if table.k != k or table.braid != braid:
+            raise ValueError(f"a {type(table).__name__} for k={table.k}"
+                             f" cannot count {'braid' if braid else 'partition'}"
+                             f" walks for k={k}")
+        return sum(table.midpoint_weights(walk_len))
+    m, h = half_lengths(walk_len, braid)
+    _check_size(k, h, None, braid)
+    for s, counts in enumerate(_walk_slices(k, h, None, braid)):
+        if s == m:
+            first = counts
+    return sum(c * first.get(key, 0) for key, c in counts.items())
+
+
 def total_partitions(k: int, n: int, table: ChamberTable | None = None) -> int:
     """Number of partitions of [n] with no k mutually crossing arcs."""
     if k < 2:
@@ -434,9 +499,7 @@ def total_partitions(k: int, n: int, table: ChamberTable | None = None) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1
-    if table is None:
-        table = ChamberTable.build(k, 2 * n, horizon=2 * n)
-    return table.count(start_point(k), 2 * n)
+    return _midpoint_total(k, 2 * n, False, table)
 
 
 def total_regular(k: int, n: int, table: LoopFreeTable | None = None) -> int:
@@ -447,7 +510,4 @@ def total_regular(k: int, n: int, table: LoopFreeTable | None = None) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1
-    walk_len = 2 * (n - 1)
-    if table is None:
-        table = LoopFreeTable.build(k, walk_len, horizon=walk_len)
-    return table.count(start_point(k), walk_len)
+    return _midpoint_total(k, 2 * (n - 1), True, table)

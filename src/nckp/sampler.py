@@ -1,22 +1,35 @@
 """Exact-uniform sampling of chamber walks and their partitions, by
-unranking.
+unranking at the midpoint.
 
-A draw takes one u = uniform_below(total) and unranks it: from the start
-point it walks the count table's point ids, and at each position subtracts
-the completions of the table's moves out of the current point until u falls
-inside one (the recursive method of Nijenhuis and Wilf, and of Flajolet,
-Zimmermann and Van Cutsem).  So unrank is a bijection from [0, total) onto
-the complete walks, every walk has probability exactly 1/total, and a draw
-uses one uniform_below.  Plain mode samples partition walks; regular mode
-samples loop-free braid walks a vertex (add, remove) at a time and maps
-them back to 2-regular partitions.  partition_weights, regular_weights and
-path_probability give the same weights on shapes, as a reference.
+A complete walk of length S is its first m steps, a walk from the start
+point to some midpoint v, followed by the reverse of a second walk from
+the start point to v, of length h = S - m (counting.half_lengths; the cut
+falls on a vertex boundary for braid walks).  So total = sum_v f(v, m) *
+f(v, h), and a session keeps the prefix sums of those products over the
+midpoints' point ids, whose last entry is the total.  A draw takes one
+u = uniform_below(total) and unranks it: bisect u in the prefix sums to
+find v, split the rest by divmod into a rank for each half, and unrank
+each half backwards from v -- at every length subtract the completions of
+the table's moves into the current point until the rank falls inside one
+(the recursive method of Nijenhuis and Wilf, and of Flajolet, Zimmermann
+and Van Cutsem, with its meet-in-the-middle split).  The walk is the first
+half followed by the second one reversed, each step inverted.  So unrank
+is a bijection from [0, total) onto the complete walks, every walk has
+probability exactly 1/total, and a draw uses one uniform_below.  Plain
+mode samples partition walks; regular mode samples loop-free braid walks
+a vertex (add, remove) at a time and maps them back to 2-regular
+partitions.  The count table needs only the lengths up to h, and any table
+that holds them unpruned serves the session.
+
+partition_weights, regular_weights and path_probability give the forward
+transition weights on shapes, as a reference; they read full-length
+tables of their own, never the session's.
 
 A drawn walk takes only moves the table lists, so it is legal by
 construction and is decoded without walks.validate_walk.  What the draw
 does check, with InvariantError rather than assert, is what only a wrong
-table could break: that u falls inside some move at every position, and
-that the walk ends on the start point.
+table could break: that the total is positive, that a rank falls inside
+some move at every length, and that each half ends on the start point.
 
 All randomness flows through one seeded bit stream; given the seed, the
 sample stream is reproducible bit for bit.
@@ -25,11 +38,13 @@ sample stream is reproducible bit for bit.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 from .bijection import braid_to_partition, decode_braid, decode_partition
-from .counting import ChamberTable, InvariantError, LoopFreeTable
+from .counting import ChamberTable, InvariantError, LoopFreeTable, half_lengths
 from .diagrams import Partition
 from .walks import (
     BRAID_WALK,
@@ -38,7 +53,6 @@ from .walks import (
     apply_step,
     legal_steps,
     shape_to_point,
-    start_point,
     validate_walk,
 )
 
@@ -100,24 +114,24 @@ def walk_length(n: int, mode: str) -> int:
     return 2 * n if mode == "plain" else max(2 * (n - 1), 0)
 
 
+def _table_class(mode: str):
+    return ChamberTable if mode == "plain" else LoopFreeTable
+
+
 def session_table(k: int, n: int, mode: str, table=None):
     """The count table of a (k, n, mode) session: `table` once checked to
-    fit, or else a freshly built one pruned to the session's walk length."""
+    hold both halves of the session's walks, or else a freshly built
+    unpruned one of the half length."""
     walk_len = walk_length(n, mode)
-    table_cls = ChamberTable if mode == "plain" else LoopFreeTable
+    table_cls = _table_class(mode)
+    half = half_lengths(walk_len, table_cls.braid)[1]
     if table is None:
-        return table_cls.build(k, walk_len, horizon=walk_len)
+        return table_cls.build(k, half)
     if not isinstance(table, table_cls):
         raise TypeError(f"{mode} mode needs a {table_cls.__name__}")
-    if table.k != k or table.max_len < walk_len:
-        raise ValueError(
-            f"table covers k={table.k} lengths <= {table.max_len},"
-            f" need k={k} length {walk_len}"
-        )
-    if table.horizon is not None and table.horizon != walk_len:
-        raise ValueError(
-            f"table horizon {table.horizon} does not match walk length {walk_len}"
-        )
+    if table.k != k or half > table.max_half:
+        raise ValueError(f"table serves k={table.k} half lengths"
+                         f" <= {table.max_half}, need k={k} half length {half}")
     return table
 
 
@@ -127,8 +141,8 @@ class SamplerSession:
     mode="plain"   uniform over k-noncrossing partitions of [n]
     mode="regular" uniform over 2-regular, k-noncrossing partitions of [n]
 
-    Tables may be shared between sessions; each session's stream is
-    independent given its seed.
+    `total` is the size of the sampled universe.  Tables may be shared
+    between sessions; each session's stream is independent given its seed.
     """
 
     def __init__(self, k: int, n: int, mode: str = "plain", seed: int = 0,
@@ -147,15 +161,11 @@ class SamplerSession:
         self.rng = RandomBits(seed)
         self.walk_len = walk_length(n, mode)
         self.table = session_table(k, n, mode, table)
-
-    @property
-    def total(self) -> int:
-        """Size of the sampled universe; InvariantError if the table
-        stores 0 there."""
-        total = self.table.count(start_point(self.k), self.walk_len)
-        if total < 1:
+        self._cut = half_lengths(self.walk_len, mode == "regular")
+        self._ends = list(accumulate(self.table.midpoint_weights(self.walk_len)))
+        self.total = self._ends[-1] if self._ends else 0
+        if self.total < 1:
             raise self._inconsistent(0, self.table.start_id, "zero total weight")
-        return total
 
     def draw(self) -> tuple[Walk, Partition]:
         """One uniform sample, the walk and its decoded partition: the
@@ -164,51 +174,85 @@ class SamplerSession:
 
     def unrank(self, u: int) -> tuple[Walk, Partition]:
         """The walk of rank u in [0, total), and its partition.  Ranks
-        follow the step order of the table's moves, position by position."""
+        order walks by midpoint id, then by the rank of the first half,
+        then by that of the second; a half's rank follows the step order
+        of the table's moves, from its last step back to its first."""
         if not 0 <= u < self.total:
             raise ValueError(f"rank {u} outside 0..{self.total - 1}")
-        table, length = self.table, self.walk_len
-        moves, lookup = table.moves, table.lookup
-        plain = self.mode == "plain"
-        cur, steps = table.start_id, []
-        for i in range(0, length, 1 if plain else 2):
-            left = length - i - (1 if plain else 2)
-            for move, nxt in (moves(cur, left, i % 2 == 1) if plain
-                              else self._vertices(cur, left)):
-                weight = lookup(nxt, left)
-                if u < weight:
-                    break
-                u -= weight
-            else:
-                raise self._inconsistent(
-                    i, cur, "candidate weights sum below the stored total"
-                    f" {lookup(cur, length - i)}")
-            steps.append(move)
-            cur = nxt
-        if cur != table.start_id:
-            raise self._inconsistent(length, cur, "the walk does not end on the"
-                                     " start point")
-        if plain:
+        ends = self._ends
+        v = bisect_right(ends, u)
+        m, h = self._cut
+        first, second = divmod(u - (ends[v - 1] if v else 0),
+                               self.table.lookup(v, h))
+        # a half's codes, listed from v back to the start point, undo its
+        # steps: the first half is them inverted in reverse, the second
+        # half reversed and inverted is them as listed
+        steps = [-c for c in reversed(self._half(v, m, first, False))]
+        steps += self._half(v, h, second, True)
+        if self.mode == "plain":
             walk = Walk(PARTITION_WALK, self.k, tuple(steps))
             return walk, decode_partition(walk, validate=False)
-        walk = Walk(BRAID_WALK, self.k, tuple(st for pair in steps for st in pair))
+        walk = Walk(BRAID_WALK, self.k, tuple(steps))
         if self.n == 0:
             return walk, Partition.from_blocks(0, [])
         return walk, braid_to_partition(decode_braid(walk, validate=False))
 
-    def _vertices(self, cur: int, left: int):
-        """((add, remove), target) of each loop-free braid vertex out of
-        point id `cur`, leaving `left` steps."""
+    def _half(self, cur: int, length: int, rank: int, second: bool) -> list[int]:
+        """The walk of the given rank among those of `length` steps from
+        the start point to point id `cur`, found backwards and returned as
+        the step codes that undo it, last step first: at each length the
+        rank picks one of the moves back out of the current point, each
+        weighted by the walks that reach its target.  `second` tells which
+        half this is, for naming positions in the whole walk."""
+        table = self.table
+        moves, lookup = table.moves, table.lookup
+        plain = self.mode == "plain"
+        codes: list[int] = []
+        for s in range(length, 0, -1 if plain else -2):
+            for back, prev in (moves(cur, s - 1, s % 2 == 1) if plain
+                               else self._back_vertices(cur, s)):
+                weight = lookup(prev, s - (1 if plain else 2))
+                if rank < weight:
+                    break
+                rank -= weight
+            else:
+                raise self._inconsistent(
+                    self.walk_len - s if second else s, cur,
+                    "candidate weights sum below the stored total"
+                    f" {lookup(cur, s)}")
+            if plain:
+                codes.append(back)
+            else:
+                codes += back
+            cur = prev
+        if cur != table.start_id:
+            raise self._inconsistent(self.walk_len if second else 0, cur,
+                                     "the walk does not end on the start point")
+        return codes
+
+    def _back_vertices(self, cur: int, s: int):
+        """((undo remove, undo add), origin) of each loop-free braid vertex
+        that ends on point id `cur` at length s: undo the remove with an
+        add, then the add with a remove; after add(1) undid remove(1), no
+        remove(1) may undo add(1), since that vertex would be a loop."""
         moves = self.table.moves
-        for add, mid in moves(cur, left + 1, True):
-            for remove, nxt in moves(mid, left, False, add == 1):
-                yield (add, remove), nxt
+        for undo_remove, mid in moves(cur, s - 1, True):
+            for undo_add, prev in moves(mid, s - 2, False, undo_remove == 1):
+                yield (undo_remove, undo_add), prev
 
     def _inconsistent(self, i: int, cur: int, problem: str) -> InvariantError:
         return InvariantError(
             f"{self.mode} k={self.k} n={self.n}: {problem} at position {i}"
             f" (point {self.table.point(cur)}); tables are inconsistent"
         )
+
+
+@lru_cache(maxsize=8)
+def _full_table(k: int, walk_len: int, mode: str):
+    """An unpruned table of every length up to walk_len: the forward
+    weights below need completions that the session's half-length table
+    does not hold."""
+    return _table_class(mode).build(k, walk_len)
 
 
 def partition_weights(session: SamplerSession, rows: tuple[int, ...],
@@ -220,7 +264,8 @@ def partition_weights(session: SamplerSession, rows: tuple[int, ...],
     """
     if session.mode != "plain":
         raise ValueError("partition_weights needs a plain-mode session")
-    k, length, ct = session.k, session.walk_len, session.table
+    k, length = session.k, session.walk_len
+    ct = _full_table(k, length, session.mode)
     if not 0 <= i < length:
         raise ValueError(f"position {i} outside 0..{length - 1}")
     parity = "odd" if (i + 1) % 2 else "even"
@@ -244,7 +289,8 @@ def regular_weights(session: SamplerSession, rows: tuple[int, ...], i: int,
     """
     if session.mode != "regular":
         raise ValueError("regular_weights needs a regular-mode session")
-    k, length, lt = session.k, session.walk_len, session.table
+    k, length = session.k, session.walk_len
+    lt = _full_table(k, length, session.mode)
     if not 0 <= i < length:
         raise ValueError(f"position {i} outside 0..{length - 1}")
     if i % 2 == 0:
@@ -275,6 +321,8 @@ def regular_weights(session: SamplerSession, rows: tuple[int, ...], i: int,
 def path_probability(session: SamplerSession, walk: Walk) -> Fraction:
     """Exact probability of the session producing `walk`: the product of
     its transition ratios.  Equals 1/total for every valid complete walk."""
+    from fractions import Fraction
+
     expect_kind = PARTITION_WALK if session.mode == "plain" else BRAID_WALK
     if walk.kind != expect_kind or walk.k != session.k:
         raise ValueError(

@@ -1,31 +1,32 @@
 """Versioned on-disk cache for count tables: a manifest, not a dump.
 
-    nckp-tab 3
+    nckp-tab 4
     kind omega            (or sigma_star)
     k 3
     max_len 20
-    horizon 20            (or none for an unpruned table)
     entries 100
     sha256 <hex digest of the table's dense layout>
 
 Kind omega is a ChamberTable (partition walks), sigma_star a LoopFreeTable
-(loop-free braid walks).  For omega the horizon is 2n, for sigma_star it is
-2(n-1); a table with a horizon holds only the states a complete walk of
-that length can visit.
+(loop-free braid walks), always unpruned: a sampler needs only the lengths
+up to the half length of its walks (counting.half_lengths), so a cache of
+max_len L serves every n whose half length is at most L -- n <= L in
+plain mode, n <= L + 1 in regular mode.
 
 The file holds no counts.  The chamber DP rebuilds a table faster than the
 text of its counts can be parsed back (k=3, max_len=240, on a 2-vCPU
 machine: 0.17 s against 0.33 s for 4 MB of text), and counts read from
 disk would each have to be checked before a sampler could trust them.  So
-load_tables reads the seven header lines, rebuilds the named table with
+load_tables reads the six header lines, rebuilds the named table with
 ChamberTable.build, and accepts it only when its entry count and digest
 equal the recorded ones.  The digest covers the table's dense layout (its
 graded point ids and each tile's offsets and value bytes, see
-counting.py), so a change of layout changes the version: version 2 pinned
-the digest of the earlier sorted-key slices and version 1 was a count
-dump.  A file that was edited, cut short, written by a DP that counts
-differently, or written in another version raises CacheError naming the
-file; `nckp cache build` writes a fresh one.
+counting.py), so a change of layout or of what a table holds changes the
+version: version 3 also named a horizon, version 2 pinned the digest of
+the earlier sorted-key slices and version 1 was a count dump.  A file that
+was edited, cut short, written by a DP that counts differently, or written
+in another version raises CacheError naming the file; `nckp cache build`
+writes a fresh one.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from __future__ import annotations
 from .counting import ChamberTable, LoopFreeTable, TableLimitError
 
 MAGIC = "nckp-tab"
-VERSION = 3
-FIELDS = ("kind", "k", "max_len", "horizon", "entries", "sha256")
+VERSION = 4
+FIELDS = ("kind", "k", "max_len", "entries", "sha256")
 KINDS = {"omega": ChamberTable, "sigma_star": LoopFreeTable}
 LINE_MAX = 128  # bytes, newline included; the sha256 line takes 72
 
@@ -44,13 +45,14 @@ class CacheError(ValueError):
 
 
 def save_tables(table, path) -> None:
-    """Write the manifest of a ChamberTable or LoopFreeTable to `path`."""
+    """Write the manifest of an unpruned ChamberTable or LoopFreeTable to
+    `path`."""
     kind = next((name for name, cls in KINDS.items() if isinstance(table, cls)), None)
     if kind is None:
         raise TypeError(f"cannot save {type(table).__name__}")
-    values = (kind, table.k, table.max_len,
-              "none" if table.horizon is None else table.horizon,
-              table.entry_count(), table.digest())
+    if table.horizon is not None:
+        raise ValueError("cannot save a table pruned to a horizon")
+    values = (kind, table.k, table.max_len, table.entry_count(), table.digest())
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MAGIC} {VERSION}\n")
         fh.writelines(f"{name} {value}\n" for name, value in zip(FIELDS, values))
@@ -97,9 +99,8 @@ def _rebuild(head: dict[str, str]):
         raise CacheError(f"unknown table kind {head['kind']!r} at line 2")
     k, max_len, entries = (_natural(head[name], name)
                            for name in ("k", "max_len", "entries"))
-    horizon = None if head["horizon"] == "none" else _natural(head["horizon"], "horizon")
     try:
-        table = ChamberTable.build(k, max_len, horizon=horizon,
+        table = ChamberTable.build(k, max_len,
                                    loop_free=head["kind"] == "sigma_star")
     except (TableLimitError, ValueError) as exc:
         raise CacheError(str(exc)) from None

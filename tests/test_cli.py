@@ -198,15 +198,47 @@ def test_import_cli_leaves_scipy_unloaded():
 
 
 
-def test_regular_cache_horizon_mismatch_exit_code(capsys, tmp_path):
-    cache = tmp_path / "r.tab"
-    run(capsys, "cache", "build", "--k", "3", "--n", "7", "--regular",
-        "--out", str(cache))
-    code, _, err = run(capsys, "sample", "--k", "3", "--n", "6", "--count", "1",
-                       "--regular", "--cache", str(cache))
-    assert code == 3 and "horizon" in err
+def test_import_cli_leaves_oracle_and_fractions_unloaded():
+    code = ("import sys, nckp.cli;"
+            " print('nckp.oracle' in sys.modules, 'fractions' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False False"
 
 
+def test_cache_serves_every_n_its_half_length_covers(capsys, tmp_path):
+    """A cache built for n=20 holds the half-length table, which serves
+    every smaller n with the stream an uncached run prints."""
+    for regular in ((), ("--regular",)):
+        cache = tmp_path / f"c{len(regular)}.tab"
+        code, _, _ = run(capsys, "cache", "build", "--k", "3", "--n", "20",
+                         *regular, "--out", str(cache))
+        assert code == 0
+        for n in ("15", "14"):
+            argv = ("sample", "--k", "3", "--n", n, "--count", "6", "--seed",
+                    "9", *regular)
+            code, fresh, _ = run(capsys, *argv)
+            assert code == 0 and len(fresh.splitlines()) == 6
+            code, cached, _ = run(capsys, *argv, "--cache", str(cache))
+            assert code == 0 and cached == fresh, (regular, n)
+
+
+def test_cache_too_short_for_n_exits_3(capsys, tmp_path):
+    """A plain cache for n=8 serves n <= 8; a regular one (half length 8)
+    serves n <= 9."""
+    for regular, too_long in (((), "9"), (("--regular",), "10")):
+        cache = tmp_path / f"c{len(regular)}.tab"
+        run(capsys, "cache", "build", "--k", "3", "--n", "8", *regular,
+            "--out", str(cache))
+        argv = ("sample", "--k", "3", "--count", "1", *regular, "--cache",
+                str(cache))
+        code, out, _ = run(capsys, *argv, "--n", str(int(too_long) - 1))
+        assert code == 0 and len(out.splitlines()) == 1
+        code, out, err = run(capsys, *argv, "--n", too_long)
+        assert code == 3 and out == "" and str(cache) in err
+        assert "half length" in err
 
 
 def test_negative_seed_is_a_usage_error(capsys):
@@ -238,16 +270,18 @@ def _edit_line(path, index, text):
 
 CORRUPTIONS = {
     "v1_file": lambda p: p.write_text(V1_CACHE),
-    "edited_sha256": lambda p: _edit_line(p, 6, "sha256 " + "0" * 64),
-    "edited_entries": lambda p: _edit_line(p, 5, "entries 62"),
+    "edited_sha256": lambda p: _edit_line(p, 5, "sha256 " + "0" * 64),
+    "edited_entries": lambda p: _edit_line(p, 4, "entries 62"),
     "random_bytes": lambda p: p.write_bytes(random.Random(0).randbytes(300)),
     "truncated_header": lambda p: p.write_bytes(p.read_bytes()[:40]),
     "negative_max_len": lambda p: _edit_line(p, 3, "max_len -16"),
     "non_integer_max_len": lambda p: _edit_line(p, 3, "max_len 16.0"),
-    "oversized_max_len": lambda p: (_edit_line(p, 3, "max_len 99999999"),
-                                    _edit_line(p, 4, "horizon 99999999")),
+    "oversized_max_len": lambda p: _edit_line(p, 3, "max_len 99999999"),
     "huge_k": lambda p: _edit_line(p, 2, "k 99999999"),
     "v2_file": lambda p: _edit_line(p, 0, "nckp-tab 2"),
+    "v3_file": lambda p: (_edit_line(p, 0, "nckp-tab 3"),
+                          p.write_text(p.read_text().replace(
+                              "entries", "horizon none\nentries"))),
 }
 
 

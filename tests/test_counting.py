@@ -117,6 +117,31 @@ def test_totals_examples():
         total_partitions(3, -1)
 
 
+def test_midpoint_identity_matches_the_oracles():
+    """The totals sum f(v, m) * f(v, h) over the midpoints v; they must
+    equal the whole-walk counts of the reflection sum and the tuple DP
+    (plain), and of the inclusion-exclusion and the tuple DP (regular)."""
+    for k in (2, 3, 4, 5):
+        start = start_point(k)
+        at = build_orthant_table(k, 24)
+        table = ChamberTable.build(k, 12)
+        for n in range(13):
+            expected = chamber_count(k, start, 2 * n)
+            assert reflected_count(at, start, 2 * n) == expected, (k, n)
+            assert total_partitions(k, n) == expected, (k, n)
+            assert total_partitions(k, n, table) == expected, (k, n)
+    for k in (3, 4, 5):
+        start = start_point(k)
+        ct = ChamberTable.build(k, 23)
+        table = LoopFreeTable.build(k, 12)
+        for n in range(1, 13):
+            expected = loop_free_even_count(ct, start, n - 1)
+            assert chamber_count(k, start, 2 * (n - 1), "B",
+                                 loop_free=True) == expected, (k, n)
+            assert total_regular(k, n) == expected, (k, n)
+            assert total_regular(k, n, table) == expected, (k, n)
+
+
 def test_totals_bell_below_crossing_threshold():
     # no k-crossing fits on fewer than 2k vertices
     for k in (2, 3, 4):

@@ -199,7 +199,24 @@ def test_session_parameter_errors():
     with pytest.raises(ValueError):
         SamplerSession(3, 9, "plain", table=ChamberTable.build(3, 6))
     with pytest.raises(ValueError):
-        SamplerSession(3, 5, "regular", table=LoopFreeTable.build(3, 4))
+        SamplerSession(3, 6, "regular", table=LoopFreeTable.build(3, 4))
+
+
+def test_horizon_table_serves_walks_whose_half_fits():
+    """A table pruned to horizon H equals the unpruned one up to length
+    H/2, so it serves the sessions whose half length is at most H/2."""
+    for mode, table, served in (
+            ("plain", ChamberTable.build(3, 16, horizon=16), 8),
+            ("regular", LoopFreeTable.build(3, 12, horizon=12), 7)):
+        total = total_partitions if mode == "plain" else total_regular
+        for n in range(served + 1):
+            session = SamplerSession(3, n, mode, seed=n, table=table)
+            assert session.total == total(3, n)
+            fresh = SamplerSession(3, n, mode, seed=n)
+            assert [session.draw() for _ in range(5)] == [
+                fresh.draw() for _ in range(5)]
+        with pytest.raises(ValueError, match=f"half lengths <= {table.horizon // 2},"):
+            SamplerSession(3, served + 1, mode, table=table)
 
 
 def test_shared_table_between_sessions():
@@ -227,27 +244,59 @@ def test_seeded_streams_unchanged():
         ]
 
 
-def _shape_space_draw(session):
-    """The draw done on shapes: one u below the total, unranked over the
-    candidates of legal_steps weighted by partition_weights /
-    regular_weights through the checked count()."""
-    from nckp.walks import apply_step
+def _shape_space_draw(session, table):
+    """The midpoint draw done on shapes: one u below the total, split over
+    the midpoints in graded order (boxes, then point) weighted by
+    f(v, m) * f(v, h), then each half unranked backwards over the
+    candidates of legal_steps, all through the checked count() of `table`,
+    an unpruned full-length table."""
+    from nckp.counting import half_lengths
+    from nckp.walks import (BRAID_WALK, PARTITION_WALK, apply_step,
+                            legal_steps, point_to_shape, shape_to_point)
 
-    rows, steps, pending = (), [], None
-    u = uniform_below(session.total, session.rng)
-    for i in range(session.walk_len):
-        if session.mode == "plain":
-            tw = partition_weights(session, rows, i)
-        else:
-            tw = regular_weights(session, rows, i, pending)
-        for step, weight in zip(tw.steps, tw.weights):
-            if u < weight:
-                break
-            u -= weight
-        pending = step if session.mode == "regular" and i % 2 == 0 else None
-        steps.append(step)
-        rows = apply_step(rows, step)
-    return tuple(steps)
+    k, plain = session.k, session.mode == "plain"
+    m, h = half_lengths(session.walk_len, not plain)
+
+    def f(rows, s):
+        return table.count(shape_to_point(rows, k), s)
+
+    def back_moves(rows, s):
+        """(codes undoing the last step or vertex, origin) into `rows`."""
+        if plain:
+            for st in legal_steps(rows, k, "even" if s % 2 else "odd",
+                                  PARTITION_WALK):
+                yield (st,), apply_step(rows, st)
+            return
+        for undo_remove in legal_steps(rows, k, "odd", BRAID_WALK):
+            mid = apply_step(rows, undo_remove)
+            for undo_add in legal_steps(mid, k, "even", BRAID_WALK,
+                                        forbid_loop_after=undo_remove):
+                yield (undo_remove, undo_add), apply_step(mid, undo_add)
+
+    def half(rows, s, rank):
+        codes = []
+        while s:
+            for undo, prev in back_moves(rows, s):
+                weight = f(prev, s - len(undo))
+                if rank < weight:
+                    break
+                rank -= weight
+            codes += undo
+            rows, s = prev, s - len(undo)
+        assert rows == ()
+        return codes
+
+    midpoints = sorted((point_to_shape(v, k) for v, _ in table.slice_items(h)),
+                       key=lambda rows: (sum(rows), shape_to_point(rows, k)))
+    weights = [f(rows, m) * f(rows, h) for rows in midpoints]
+    u = uniform_below(sum(weights), session.rng)
+    for rows, weight in zip(midpoints, weights):
+        if u < weight:
+            break
+        u -= weight
+    first, second = divmod(u, f(rows, h))
+    return tuple([-c for c in reversed(half(rows, m, first))]
+                 + half(rows, h, second))
 
 
 def test_draw_matches_shape_space_sampler():
@@ -255,35 +304,38 @@ def test_draw_matches_shape_space_sampler():
         for mode in ("plain", "regular"):
             if mode == "regular" and k < 3:
                 continue
+            n = 7 if k < 5 else 5
+            session = SamplerSession(k, n, mode)
+            table = session.table
+            full = (ChamberTable if mode == "plain" else LoopFreeTable).build(
+                k, session.walk_len)
             for seed in (0, 1, 12345):
-                n = 7 if k < 5 else 5
-                table = SamplerSession(k, n, mode).table
                 packed = SamplerSession(k, n, mode, seed=seed, table=table)
                 shapes = SamplerSession(k, n, mode, seed=seed, table=table)
                 for _ in range(20):
-                    assert packed.draw()[0].steps == _shape_space_draw(shapes)
+                    assert packed.draw()[0].steps == _shape_space_draw(shapes, full)
 
 
-def _doctored(table, s, point, count):
-    """A copy of `table` whose count of `point` at length s is `count`,
-    made with the packed-table constructor."""
+def _doctored(table, s, counts):
+    """A copy of `table` whose counts at length s are updated from
+    `counts` (point -> count), made with the packed-table constructor."""
     slices = [{table._pack(v): c for v, c in table.slice_items(t)}
               for t in range(table.max_len + 1)]
-    slices[s][table._pack(point)] = count
+    slices[s].update({table._pack(v): c for v, c in counts.items()})
     return type(table)(table.k, table.max_len, table.horizon, slices)
 
 
 def test_draw_on_inconsistent_table_names_where():
-    table = _doctored(ChamberTable.build(3, 16, horizon=16), 16, (1, 0), 0)
-    session = SamplerSession(3, 8, "plain", table=table)
+    table = ChamberTable.build(3, 16, horizon=16)
+    table = _doctored(table, 8, {v: 0 for v, _ in table.slice_items(8)})
     with pytest.raises(InvariantError, match=re.escape(
             "plain k=3 n=8: zero total weight at position 0 (point (1, 0))")):
-        session.draw()
-    table = _doctored(LoopFreeTable.build(3, 10, horizon=10), 10, (1, 0), 5100)
+        SamplerSession(3, 8, "plain", table=table)
+    table = _doctored(LoopFreeTable.build(3, 12, horizon=12), 6, {(1, 0): 5100})
     session = SamplerSession(3, 6, "regular", table=table)
     with pytest.raises(InvariantError, match=re.escape(
             "regular k=3 n=6: candidate weights sum below the stored total 5100"
-            " at position 0 (point (1, 0))")):
+            " at position 4 (point (1, 0))")):
         session.draw()
 
 
@@ -311,7 +363,8 @@ def test_draw_is_unrank_of_one_uniform_below():
 
 def test_draw_that_cannot_end_on_the_start_point_raises_under_python_O():
     """Slice 0 doctored to hold no walk at the start point and one at (2, 0):
-    every draw then ends on (2, 0), which the draw must catch without assert."""
+    the first half of every draw then ends on (2, 0), which the draw must
+    catch without assert."""
     import os
     import subprocess
     import sys
@@ -321,7 +374,7 @@ from nckp.counting import ChamberTable, InvariantError, LoopFreeTable
 from nckp.sampler import SamplerSession
 
 for mode, table in (("plain", ChamberTable.build(3, 8, horizon=8)),
-                    ("regular", LoopFreeTable.build(3, 6, horizon=6))):
+                    ("regular", LoopFreeTable.build(3, 8, horizon=8))):
     slices = [{table._pack(v): c for v, c in table.slice_items(t)}
               for t in range(table.max_len + 1)]
     slices[0] = {table._pack((1, 0)): 0, table._pack((2, 0)): 1}

@@ -5,12 +5,12 @@ from nckp.store import CacheError, load_tables, save_tables
 
 
 def test_chamber_round_trip(tmp_path):
-    table = ChamberTable.build(3, 20, horizon=20)
-    path = tmp_path / "k3n10.tab"
+    table = ChamberTable.build(3, 20)
+    path = tmp_path / "k3n20.tab"
     save_tables(table, path)
     loaded = load_tables(path)
     assert isinstance(loaded, ChamberTable)
-    assert (loaded.k, loaded.max_len, loaded.horizon) == (3, 20, 20)
+    assert (loaded.k, loaded.max_len, loaded.horizon) == (3, 20, None)
     for s in range(21):
         assert dict(loaded.slice_items(s)) == dict(table.slice_items(s))
 
@@ -73,39 +73,32 @@ def test_unknown_kind(tmp_path):
         load_tables(path)
 
 
-def test_pruned_loop_free_round_trip_keeps_horizon(tmp_path):
-    table = LoopFreeTable.build(3, 10, horizon=10)
+def test_save_rejects_a_horizon_table(tmp_path):
     path = tmp_path / "k3r6.tab"
-    save_tables(table, path)
-    assert _lines(path)[4] == "horizon 10"
-    loaded = load_tables(path)
-    assert isinstance(loaded, LoopFreeTable)
-    assert (loaded.k, loaded.max_len, loaded.horizon) == (3, 10, 10)
-    for s in range(11):
-        assert dict(loaded.slice_items(s)) == dict(table.slice_items(s))
+    with pytest.raises(ValueError, match="horizon"):
+        save_tables(LoopFreeTable.build(3, 10, horizon=10), path)
+    assert not path.exists()
 
 
 def test_unpruned_loop_free_cache_loads_without_horizon(tmp_path):
     path = tmp_path / "k3r.tab"
     save_tables(LoopFreeTable.build(3, 8), path)
-    assert _lines(path)[4] == "horizon none"
+    assert not any(line.startswith("horizon") for line in _lines(path))
     assert load_tables(path).horizon is None
 
 
-def test_horizon_must_equal_max_len(tmp_path):
+def test_horizon_line_is_rejected(tmp_path):
     path = tmp_path / "t.tab"
-    save_tables(ChamberTable.build(3, 8, horizon=8), path)
+    save_tables(ChamberTable.build(3, 8), path)
     lines = _lines(path)
-    lines[4] = "horizon 6"
+    lines.insert(4, "horizon 8")
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheError, match="horizon"):
+    with pytest.raises(CacheError, match="expected 'entries' at line 5"):
         load_tables(path)
 
 
-
-
 def test_loop_free_table_is_stored_packed_in_point_order(tmp_path):
-    table = LoopFreeTable.build(4, 12, horizon=12)
+    table = LoopFreeTable.build(4, 12)
     for s in range(13):
         points = [v for v, _ in table.slice_items(s)]
         assert points == sorted(points)
@@ -118,11 +111,11 @@ def test_loop_free_table_is_stored_packed_in_point_order(tmp_path):
 
 
 def test_manifest_names_the_table_and_holds_no_counts(tmp_path):
-    table = LoopFreeTable.build(3, 10, horizon=10)
+    table = LoopFreeTable.build(3, 10)
     path = tmp_path / "r.tab"
     save_tables(table, path)
     assert _lines(path) == [
-        "nckp-tab 3", "kind sigma_star", "k 3", "max_len 10", "horizon 10",
+        "nckp-tab 4", "kind sigma_star", "k 3", "max_len 10",
         f"entries {table.entry_count()}", f"sha256 {table.digest()}",
     ]
 
@@ -131,7 +124,7 @@ def test_rejects_data_after_the_header(tmp_path):
     path = tmp_path / "t.tab"
     save_tables(ChamberTable.build(3, 4), path)
     path.write_text(path.read_text() + "1 0 2 1\n")
-    with pytest.raises(CacheError, match="after line 7"):
+    with pytest.raises(CacheError, match="after line 6"):
         load_tables(path)
 
 
@@ -150,10 +143,23 @@ def test_digest_pins_every_count():
 
 def test_version_2_cache_asks_for_a_rebuild(tmp_path):
     path = tmp_path / "t.tab"
-    save_tables(ChamberTable.build(3, 8, horizon=8), path)
+    save_tables(ChamberTable.build(3, 8), path)
     lines = _lines(path)
     lines[0] = "nckp-tab 2"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError, match="unsupported cache version 2 .*"
+                       "rebuild it with nckp cache build"):
+        load_tables(path)
+
+
+def test_version_3_cache_asks_for_a_rebuild(tmp_path):
+    """A version 3 manifest, horizon line and all, as the previous format
+    wrote it for `nckp cache build --k 3 --n 4`."""
+    path = tmp_path / "t.tab"
+    table = ChamberTable.build(3, 8, horizon=8)
+    path.write_text("\n".join([
+        "nckp-tab 3", "kind omega", "k 3", "max_len 8", "horizon 8",
+        f"entries {table.entry_count()}", f"sha256 {table.digest()}"]) + "\n")
+    with pytest.raises(CacheError, match="unsupported cache version 3 .*"
                        "rebuild it with nckp cache build"):
         load_tables(path)
