@@ -15,7 +15,7 @@ Sampling streams one partition per line, deterministic for a fixed seed.
 Counting, sampling and `cache build` all work on half-length tables: a
 complete walk is cut at its midpoint into two walks from the start point,
 so `count` keeps only the last DP slices, and a cache built for --n N
-holds an unpruned table of the half length, which serves every --n up to
+holds a table of the half length, which serves every --n up to
 N (up to N+1 with --regular, whose walks have even length 2(N-1)).
 The sample stream for a seed does not depend on the table that serves it.
 Relative --cache paths resolve under $NCKP_CACHE_DIR when it is set.

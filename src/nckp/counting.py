@@ -23,24 +23,13 @@ closed under that reversal (a loop vertex (add 1, remove 1) reverses to
 itself), so the number of complete walks is sum_v f(v, m) * f(v, S - m),
 where f counts walks from the start point (half_lengths gives m and
 S - m; the cut falls on a vertex boundary for braid walks).  So counting
-and sampling need only a table of length S - m <= S/2 + 1, with no
-horizon, and one such table serves every shorter walk too.
-total_partitions and total_regular keep just the last DP slices and build
-no table at all.
-
-ChamberTable.build(..., horizon=S) still makes a table pruned to the
-states a complete length-S walk can visit: a point with b boxes is kept at
-length s only while the remaining S - s steps hold at least b removes,
-that is b <= (S - s) // 2 for partition walks and b <= (S - s + 1) // 2 for
-braid walks.  The bound drops by at most one per step, and exactly on
-remove steps, so pruning each slice never loses a state that a later kept
-state depends on; count() raises on queries outside that envelope.  Up to
-length S/2 the pruned slices equal the unpruned ones, so such a table
-serves walks whose half length is at most S/2.
+and sampling need only a table of length S - m <= S/2 + 1, and one such
+table serves every shorter walk too.  total_partitions and total_regular
+keep just the last DP slices and build no table at all.
 
 Both tables number their chamber points once, in graded order: by box
 count, then by packed key, so the start point is id 0.  Every point with
-at most _slice_cap(s) boxes has a walk of length s (add its boxes, then
+at most _box_bound(s) boxes has a walk of length s (add its boxes, then
 stay), so a slice's support is the id prefix [0, N_s); the constructor
 checks this (InvariantError otherwise) and stores every slice densely by
 id: TILE consecutive slices share an offset array and one bytes blob of
@@ -104,25 +93,10 @@ def _packer(k: int, bits: int):
     return pack, unpack, shifts
 
 
-def _box_bound(s: int, horizon: int, braid: bool) -> int:
-    """Most boxes a point at length s may hold and still be shed by the
-    remove steps among positions s+1..horizon.  By time reversal,
-    _box_bound(0, s, braid) is also the most boxes s steps can add."""
-    return (horizon - s + braid) // 2
-
-
-def _slice_cap(s: int, horizon: int | None, braid: bool) -> int:
-    """Most boxes a stored point holds at length s: what s steps can add
-    and, under a horizon, what the remaining steps can still shed."""
-    b = _box_bound(0, s, braid)
-    return b if horizon is None else min(b, _box_bound(s, horizon, braid))
-
-
-def _top_cap(max_len: int, horizon: int | None, braid: bool) -> int:
-    """The largest _slice_cap over lengths 0..max_len: at the last length
-    unpruned, in the middle under a horizon."""
-    return max(_slice_cap(s, horizon, braid)
-               for s in (max_len // 2, (max_len + 1) // 2, max_len))
+def _box_bound(s: int, braid: bool) -> int:
+    """Most boxes s steps can add: the points of slice s hold at most this
+    many, and the largest, at max_len, bounds the table's point numbering."""
+    return (s + braid) // 2
 
 
 def _points_upto(k: int, b: int) -> int:
@@ -133,33 +107,31 @@ def _points_upto(k: int, b: int) -> int:
     return (b + r + 1) ** r // factorial(r) ** 2
 
 
-def _estimate_entries(k: int, max_len: int, horizon: int | None,
-                      braid: bool, limit: int) -> int:
+def _estimate_entries(k: int, max_len: int, braid: bool, limit: int) -> int:
     """Rough upper bound on the table's size in entries: the k-1
     coordinates of each numbered point, then the stored states of every
     slice.  The coordinates come first, so a k the budget cannot hold fails
     here, before any point of k-1 coordinates is made; the sum stops as soon
     as it passes `limit`, so a huge max_len costs no more than the lengths
     it takes to get there."""
-    total = (k - 1) * _points_upto(k, _top_cap(max_len, horizon, braid))
+    total = (k - 1) * _points_upto(k, _box_bound(max_len, braid))
     for s in range(max_len + 1):
         if total > limit:
             break
-        total += _points_upto(k, _slice_cap(s, horizon, braid))
+        total += _points_upto(k, _box_bound(s, braid))
     return total
 
 
-MAX_ENTRIES = 80_000_000  # default size budget of a table, in entries
+MAX_ENTRIES = 80_000_000  # size budget of a table, in entries
 
 
-def _check_size(k: int, max_len: int, horizon: int | None, braid: bool,
-                max_entries: int = MAX_ENTRIES) -> None:
+def _check_size(k: int, max_len: int, braid: bool) -> None:
     """TableLimitError, before any work, when the table of these
-    parameters is estimated past `max_entries` entries."""
-    if _estimate_entries(k, max_len, horizon, braid, max_entries) > max_entries:
+    parameters is estimated past MAX_ENTRIES entries."""
+    if _estimate_entries(k, max_len, braid, MAX_ENTRIES) > MAX_ENTRIES:
         raise TableLimitError(
             f"{'loop-free' if braid else 'chamber'} table for k={k},"
-            f" max_len={max_len} is estimated at more than {max_entries} entries"
+            f" max_len={max_len} is estimated at more than {MAX_ENTRIES} entries"
         )
 
 
@@ -176,33 +148,23 @@ def half_lengths(walk_len: int, braid: bool) -> tuple[int, int]:
 # the step primitive
 # ---------------------------------------------------------------------------
 
-def _advance(prev: dict, out: dict, shifts, mask: int, base: int,
-             adding: bool, rows, stay: bool, cap: int | None) -> None:
+def _advance(prev: dict, out: dict, shifts, mask: int, adding: bool, rows,
+             stay: bool) -> None:
     """Add to `out` (packed point -> count) every legal one-step move out
     of the points of `prev`.
 
     The moves are the do-nothing step (when `stay`) and an add or remove
     on each 0-based coordinate in `rows`.  A move is legal when the point
-    it reaches is still strictly decreasing and >= 0.  When `cap` is given,
-    targets holding more than `cap` boxes are dropped; since the caller's
-    cap falls by at most one per step, a remove never exceeds it.
+    it reaches is still strictly decreasing and >= 0.
     """
     get = out.get
     last = len(shifts) - 1
     ones = [1 << sh for sh in shifts]
     for key, val in prev.items():
         c = [(key >> sh) & mask for sh in shifts]
-        if cap is None:
-            grow = keep = True
-        else:
-            boxes = sum(c) - base
-            keep = boxes <= cap
-            grow = boxes < cap
-        if stay and keep:
+        if stay:
             out[key] = get(key, 0) + val
         if adding:
-            if not grow:
-                continue
             for i in rows:
                 if i == 0 or c[i - 1] - c[i] > 1:
                     q = key + ones[i]
@@ -214,7 +176,7 @@ def _advance(prev: dict, out: dict, shifts, mask: int, base: int,
                     out[q] = get(q, 0) + val
 
 
-def _walk_slices(k: int, max_len: int, horizon: int | None, loop_free: bool):
+def _walk_slices(k: int, max_len: int, loop_free: bool):
     """Yield, for s = 0..max_len, packed point -> number of walks of length
     s from the start point.  Partition walks remove on odd steps and add on
     even ones; loop-free braid walks add on odd steps, remove on even ones,
@@ -222,28 +184,26 @@ def _walk_slices(k: int, max_len: int, horizon: int | None, loop_free: bool):
     bits = _coord_bits(k, max_len)
     pack, _, shifts = _packer(k, bits)
     mask = (1 << bits) - 1
-    base = sum(start_point(k))
     every = range(k - 1)
     lower = range(1, k - 1)
     cur = {pack(start_point(k)): 1}
     top: dict = {}  # loop-free states whose last step added to row 1
     yield cur
     for s in range(1, max_len + 1):
-        cap = None if horizon is None else _box_bound(s, horizon, loop_free)
         nxt: dict = {}
         if not loop_free:
-            _advance(cur, nxt, shifts, mask, base, s % 2 == 0, every, True, cap)
+            _advance(cur, nxt, shifts, mask, s % 2 == 0, every, True)
             counts = nxt
         elif s % 2:
             top = {}
-            _advance(cur, nxt, shifts, mask, base, True, lower, True, cap)
-            _advance(cur, top, shifts, mask, base, True, (0,), False, cap)
+            _advance(cur, nxt, shifts, mask, True, lower, True)
+            _advance(cur, top, shifts, mask, True, (0,), False)
             counts = dict(nxt)
             for key, val in top.items():
                 counts[key] = counts.get(key, 0) + val
         else:
-            _advance(cur, nxt, shifts, mask, base, False, every, True, cap)
-            _advance(top, nxt, shifts, mask, base, False, lower, True, cap)
+            _advance(cur, nxt, shifts, mask, False, every, True)
+            _advance(top, nxt, shifts, mask, False, lower, True)
             counts = nxt
         cur = nxt
         yield counts
@@ -280,32 +240,28 @@ class _PackedTable:
     """Walk counts for all endpoints and lengths 0..max_len, dense by point
     id in tiles of TILE lengths; `braid` tells the walk kind.  Built once,
     immutable afterwards (but for the moves() memo, which only grows) and
-    safe to share.  With horizon=S the table stores only the states a
-    complete length-S walk can visit, and count() raises on queries outside
-    that envelope rather than return an unvetted zero; moves() and lookup()
-    take point ids and do not check.
+    safe to share.  count() takes a point and checks it; moves() and
+    lookup() take point ids and do not check.
     """
 
     braid = False
     start_id = 0  # the graded order puts the start point, with 0 boxes, first
 
-    def __init__(self, k: int, max_len: int, horizon: int | None, slices):
+    def __init__(self, k: int, max_len: int, slices):
         """`slices` yields one {packed point: count} dict per length, whose
         points must be a graded prefix (InvariantError otherwise)."""
         self.k = k
         self.max_len = max_len
-        self.horizon = horizon
         bits = _coord_bits(k, max_len)
         self._pack, self._unpack, self._shifts = _packer(k, bits)
         self._mask = (1 << bits) - 1
         self._base = sum(start_point(k))
-        self._top = _top_cap(max_len, horizon, self.braid)
         level = {self._pack(start_point(k)): 1}
         self._keys = list(level)  # id -> packed point, by boxes, then key
-        for _ in range(self._top):
+        for _ in range(_box_bound(max_len, self.braid)):
             nxt: dict = {}
-            _advance(level, nxt, self._shifts, self._mask, self._base, True,
-                     range(k - 1), False, None)
+            _advance(level, nxt, self._shifts, self._mask, True, range(k - 1),
+                     False)
             self._keys += sorted(nxt)
             level = nxt
         self._ids = {key: i for i, key in enumerate(self._keys)}
@@ -334,35 +290,26 @@ class _PackedTable:
         return vals
 
     def count(self, v: tuple[int, ...], s: int) -> int:
+        """The number of walks of length s from the start point to v: 0 when
+        v holds more boxes than s steps can add.  ValueError when v is not a
+        chamber point or s lies outside 0..max_len."""
         if len(v) != self.k - 1 or not in_chamber(v):
             raise ValueError(f"point {v} is not in the chamber for k={self.k}")
         if not 0 <= s <= self.max_len:
             raise ValueError(
                 f"length {s} outside table range 0..{self.max_len}"
             )
-        boxes = sum(v) - self._base
-        if boxes > _box_bound(0, s, self.braid):
+        if sum(v) - self._base > _box_bound(s, self.braid):
             return 0
-        if (self.horizon is not None
-                and boxes > _box_bound(s, self.horizon, self.braid)):
-            raise ValueError(
-                f"point {v} at length {s} lies outside the horizon envelope"
-            )
         return self.lookup(self.point_id(v), s)
-
-    @property
-    def max_half(self) -> int:
-        """The longest half length (see half_lengths) the table serves: its
-        max_len, or half its horizon, up to which its slices are unpruned."""
-        return self.max_len if self.horizon is None else self.horizon // 2
 
     def midpoint_weights(self, walk_len: int) -> list[int]:
         """By point id v, f(v, m) * f(v, h) for the cut (m, h) of
         half_lengths: the number of complete walks of length walk_len that
         are at v after m steps.  Their sum is the number of complete walks."""
         m, h = half_lengths(walk_len, self.braid)
-        if h > self.max_half:
-            raise ValueError(f"table serves half lengths <= {self.max_half},"
+        if h > self.max_len:
+            raise ValueError(f"table serves half lengths <= {self.max_len},"
                              f" a walk of length {walk_len} needs {h}")
         lookup = self.lookup
         return [lookup(i, m) * lookup(i, h)
@@ -405,13 +352,15 @@ class _PackedTable:
         onto slice s, in the step order of `walks.legal_steps`; after_top
         drops remove(1), which may not follow add(1) in a loop-free walk.
         The moves of each (i, adding, after_top) are made once, by the DP's
-        step primitive, and cut here to the ids slice s holds."""
+        step primitive, less the targets past the table's numbering, and cut
+        here to the ids slice s holds."""
         memo = self._moves.get((i, adding, after_top))
         if memo is None:
-            key, out = self._keys[i], {}
-            _advance({key: 1}, out, self._shifts, self._mask, self._base,
-                     adding, range(after_top, self.k - 1), True, self._top)
-            found = tuple((self._step_codes[q - key], self._ids[q]) for q in out)
+            key, out, ids = self._keys[i], {}, self._ids
+            _advance({key: 1}, out, self._shifts, self._mask, adding,
+                     range(after_top, self.k - 1), True)
+            found = tuple((self._step_codes[q - key], ids[q])
+                          for q in out if q in ids)
             memo = self._moves[i, adding, after_top] = (
                 found, max((t for _, t in found), default=-1))
         found, last = memo
@@ -432,27 +381,16 @@ class ChamberTable(_PackedTable):
     count = _PackedTable.count  # own attribute, so it can be wrapped per class
 
     @classmethod
-    def build(
-        cls,
-        k: int,
-        max_len: int,
-        *,
-        horizon: int | None = None,
-        max_entries: int = MAX_ENTRIES,
-        loop_free: bool = False,
-    ):
+    def build(cls, k: int, max_len: int, *, loop_free: bool = False):
         """Run the chamber DP.  With loop_free=True the same engine counts
         loop-free braid walks and returns a LoopFreeTable; that is what
         LoopFreeTable.build does."""
         min_k = 3 if loop_free else 2
         if k < min_k:
             raise ValueError(f"k must be >= {min_k}, got {k}")
-        if horizon is not None and horizon != max_len:
-            raise ValueError("horizon, when set, must equal max_len")
-        _check_size(k, max_len, horizon, loop_free, max_entries)
+        _check_size(k, max_len, loop_free)
         table_cls = LoopFreeTable if loop_free else ChamberTable
-        return table_cls(k, max_len, horizon,
-                         _walk_slices(k, max_len, horizon, loop_free))
+        return table_cls(k, max_len, _walk_slices(k, max_len, loop_free))
 
 
 class LoopFreeTable(_PackedTable):
@@ -462,11 +400,10 @@ class LoopFreeTable(_PackedTable):
     count = _PackedTable.count
 
     @classmethod
-    def build(cls, k: int, walk_len: int, *,
-              horizon: int | None = None) -> "LoopFreeTable":
+    def build(cls, k: int, walk_len: int) -> "LoopFreeTable":
         if walk_len % 2:
             raise ValueError(f"walk_len must be even, got {walk_len}")
-        return ChamberTable.build(k, walk_len, horizon=horizon, loop_free=True)
+        return ChamberTable.build(k, walk_len, loop_free=True)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +421,8 @@ def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
                              f" walks for k={k}")
         return sum(table.midpoint_weights(walk_len))
     m, h = half_lengths(walk_len, braid)
-    _check_size(k, h, None, braid)
-    for s, counts in enumerate(_walk_slices(k, h, None, braid)):
+    _check_size(k, h, braid)
+    for s, counts in enumerate(_walk_slices(k, h, braid)):
         if s == m:
             first = counts
     return sum(c * first.get(key, 0) for key, c in counts.items())

@@ -495,7 +495,12 @@ def _check(name: str, params: dict, expected, actual) -> dict:
 
 def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
     """Cross-check the count engine, bijections and tables against the
-    brute-force oracles; returns a JSON-ready report."""
+    brute-force oracles; returns a JSON-ready report.  ValueError, before
+    any work, when the sizes leave nothing to check or exceed ENUM_GUARD."""
+    if k_max < 2:
+        raise ValueError(f"k_max must be >= 2, got {k_max}")
+    if not 0 <= n_max <= ENUM_GUARD:
+        raise ValueError(f"n_max must be in 0..{ENUM_GUARD}, got {n_max}")
     from .bijection import decode_partition, encode_partition
 
     checks: list[dict] = []

@@ -19,7 +19,7 @@ probability exactly 1/total, and a draw uses one uniform_below.  Plain
 mode samples partition walks; regular mode samples loop-free braid walks
 a vertex (add, remove) at a time and maps them back to 2-regular
 partitions.  The count table needs only the lengths up to h, and any table
-that holds them unpruned serves the session.
+that holds them serves the session.
 
 partition_weights, regular_weights and path_probability give the forward
 transition weights on shapes, as a reference; they read full-length
@@ -120,8 +120,8 @@ def _table_class(mode: str):
 
 def session_table(k: int, n: int, mode: str, table=None):
     """The count table of a (k, n, mode) session: `table` once checked to
-    hold both halves of the session's walks, or else a freshly built
-    unpruned one of the half length."""
+    hold both halves of the session's walks, or else a freshly built one of
+    the half length."""
     walk_len = walk_length(n, mode)
     table_cls = _table_class(mode)
     half = half_lengths(walk_len, table_cls.braid)[1]
@@ -129,9 +129,9 @@ def session_table(k: int, n: int, mode: str, table=None):
         return table_cls.build(k, half)
     if not isinstance(table, table_cls):
         raise TypeError(f"{mode} mode needs a {table_cls.__name__}")
-    if table.k != k or half > table.max_half:
+    if table.k != k or half > table.max_len:
         raise ValueError(f"table serves k={table.k} half lengths"
-                         f" <= {table.max_half}, need k={k} half length {half}")
+                         f" <= {table.max_len}, need k={k} half length {half}")
     return table
 
 
@@ -249,7 +249,7 @@ class SamplerSession:
 
 @lru_cache(maxsize=8)
 def _full_table(k: int, walk_len: int, mode: str):
-    """An unpruned table of every length up to walk_len: the forward
+    """A table of every length up to walk_len: the forward
     weights below need completions that the session's half-length table
     does not hold."""
     return _table_class(mode).build(k, walk_len)

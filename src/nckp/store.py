@@ -8,10 +8,10 @@
     sha256 <hex digest of the table's dense layout>
 
 Kind omega is a ChamberTable (partition walks), sigma_star a LoopFreeTable
-(loop-free braid walks), always unpruned: a sampler needs only the lengths
-up to the half length of its walks (counting.half_lengths), so a cache of
-max_len L serves every n whose half length is at most L -- n <= L in
-plain mode, n <= L + 1 in regular mode.
+(loop-free braid walks).  A sampler needs only the lengths up to the half
+length of its walks (counting.half_lengths), so a cache of max_len L
+serves every n whose half length is at most L -- n <= L in plain mode,
+n <= L + 1 in regular mode.
 
 The file holds no counts.  The chamber DP rebuilds a table faster than the
 text of its counts can be parsed back (k=3, max_len=240, on a 2-vCPU
@@ -45,13 +45,10 @@ class CacheError(ValueError):
 
 
 def save_tables(table, path) -> None:
-    """Write the manifest of an unpruned ChamberTable or LoopFreeTable to
-    `path`."""
+    """Write the manifest of a ChamberTable or LoopFreeTable to `path`."""
     kind = next((name for name, cls in KINDS.items() if isinstance(table, cls)), None)
     if kind is None:
         raise TypeError(f"cannot save {type(table).__name__}")
-    if table.horizon is not None:
-        raise ValueError("cannot save a table pruned to a horizon")
     values = (kind, table.k, table.max_len, table.entry_count(), table.digest())
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{MAGIC} {VERSION}\n")

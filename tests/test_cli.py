@@ -178,6 +178,21 @@ def test_verify_small(capsys):
         assert {"name", "params", "expected", "actual", "pass"} <= set(check)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--n-max", "-1"), "n_max"),
+    (("--n-max", "14"), "n_max"),
+    (("--k-max", "1"), "k_max"),
+])
+def test_verify_rejects_sizes_before_any_work(capsys, argv, name):
+    """A negative n, an n past the enumeration guard, or a k that leaves
+    nothing to check exits 2 at once, printing no report."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - started < 5
+    assert (code, out) == (2, "")
+    assert name in err
+
+
 def test_usage_exit_code_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--k", "3"])

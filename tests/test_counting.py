@@ -161,7 +161,7 @@ def test_table_limit_guard():
     with pytest.raises(TableLimitError):
         build_orthant_table(3, 1600)
     with pytest.raises(TableLimitError):
-        ChamberTable.build(4, 2000, horizon=2000)
+        ChamberTable.build(4, 2000)
 
 
 def test_oversized_table_fails_fast():
@@ -173,23 +173,17 @@ def test_oversized_table_fails_fast():
             assert time.perf_counter() - start < 1
 
 
-def test_horizon_table_matches_full_on_envelope():
-    full = ChamberTable.build(3, 16)
-    pruned = ChamberTable.build(3, 16, horizon=16)
-    base = sum(start_point(3))
-    for s in range(17):
-        for v, count in full.slice_items(s):
-            if sum(v) - base <= (16 - s) // 2:
-                assert pruned.count(v, s) == count
-
-
-def test_horizon_envelope_violation_raises():
-    pruned = ChamberTable.build(3, 8, horizon=8)
-    # 4 boxes at length 8 cannot occur in a complete length-8 walk
-    with pytest.raises(ValueError):
-        pruned.count((5, 0), 8)
-    # but a provable zero short-circuits before the envelope check
-    assert pruned.count((5, 0), 2) == 0
+def test_count_checks_its_arguments():
+    for table in (ChamberTable.build(3, 8), LoopFreeTable.build(3, 8)):
+        # more boxes than two steps can add: a zero, not a lookup
+        assert table.count((5, 0), 2) == 0
+        assert table.count((1, 0), 0) == 1
+        for v in ((0, 1), (1, 1), (2, 1, 0), (1, -1)):
+            with pytest.raises(ValueError, match="chamber"):
+                table.count(v, 2)
+        for s in (-1, 9):
+            with pytest.raises(ValueError, match="length"):
+                table.count((1, 0), s)
 
 
 def test_k4_six_term_reflection_formula():
@@ -275,36 +269,29 @@ def test_k4_loop_free_odd_recurrence():
             assert loop_free_odd_count(lt, v, 2 * ell - 1) == expected
 
 
-def _envelope(k, s, horizon, braid=False):
-    """Most boxes a stored point may hold at length s."""
-    return (horizon - s + braid) // 2
-
-
-def test_pruned_chamber_matches_reflection_on_envelope():
+def test_chamber_matches_reflection():
+    """Every count against the reflection sum over the orthant, and the
+    stored support is exactly the points with a positive reflected count."""
     base_len = {2: 16, 3: 16, 4: 14, 5: 12}
-    for k, horizon in base_len.items():
-        at = build_orthant_table(k, horizon)
-        pruned = ChamberTable.build(k, horizon, horizon=horizon)
-        base = sum(start_point(k))
-        for s in range(horizon + 1):
+    for k, max_len in base_len.items():
+        at = build_orthant_table(k, max_len)
+        table = ChamberTable.build(k, max_len)
+        for s in range(max_len + 1):
             expected = {}
             for v, _ in at.slice_items(s):
-                if all(a > b for a, b in zip(v, v[1:])) and (
-                    sum(v) - base <= _envelope(k, s, horizon)
-                ):
+                if all(a > b for a, b in zip(v, v[1:])):
                     count = reflected_count(at, v, s)
-                    assert pruned.count(v, s) == count, (k, v, s)
+                    assert table.count(v, s) == count, (k, v, s)
                     if count:
                         expected[v] = count
-            assert dict(pruned.slice_items(s)) == expected, (k, s)
+            assert dict(table.slice_items(s)) == expected, (k, s)
 
 
-def test_pruned_loop_free_matches_inclusion_exclusion_on_envelope():
+def test_loop_free_matches_inclusion_exclusion():
     walk_len = 12
     for k in (3, 4):
         ct = ChamberTable.build(k, walk_len + 1)
-        lt = LoopFreeTable.build(k, walk_len, horizon=walk_len)
-        base = sum(start_point(k))
+        lt = LoopFreeTable.build(k, walk_len)
 
         def even(v, s):
             return loop_free_even_count(ct, v, s // 2)
@@ -315,8 +302,6 @@ def test_pruned_loop_free_matches_inclusion_exclusion_on_envelope():
             }
             expected = {}
             for v in points:
-                if sum(v) - base > _envelope(k, s, walk_len, braid=True):
-                    continue
                 if s % 2 == 0:
                     count = even(v, s)
                 else:
@@ -331,26 +316,6 @@ def test_pruned_loop_free_matches_inclusion_exclusion_on_envelope():
                 if count:
                     expected[v] = count
             assert dict(lt.slice_items(s)) == expected, (k, s)
-
-
-def test_count_just_outside_envelope_raises():
-    horizon = 12
-    pruned = ChamberTable.build(3, horizon, horizon=horizon)
-    # length 8 keeps at most 2 boxes; (4, 0) has 3 and is reachable in 8 steps
-    assert pruned.count((3, 0), 8) > 0
-    with pytest.raises(ValueError):
-        pruned.count((4, 0), 8)
-    lt = LoopFreeTable.build(3, horizon, horizon=horizon)
-    # length 9 keeps at most 2 boxes; 3 boxes are reachable in 9 steps
-    assert lt.count((3, 0), 9) > 0
-    with pytest.raises(ValueError):
-        lt.count((4, 0), 9)
-    with pytest.raises(ValueError):
-        lt.count((3, 1), 9)
-    # a provable zero still short-circuits before the envelope check
-    assert lt.count((5, 0), 2) == 0
-    with pytest.raises(ValueError):
-        LoopFreeTable.build(3, horizon, horizon=horizon - 2)
 
 
 def test_moves_follow_legal_steps():
@@ -405,8 +370,8 @@ def _shapes_upto(rows, boxes, widest=None):
 
 def test_support_is_every_point_up_to_the_box_bound():
     """The dense layout rests on this: at each length the stored points are
-    exactly the chamber points with at most _box_bound boxes (two-sided
-    under a horizon), each with a positive count, numbered as a prefix."""
+    exactly the chamber points with at most _box_bound boxes, each with a
+    positive count, numbered as a prefix."""
     from nckp.walks import shape_to_point
 
     for k in (2, 3, 4, 5, 6):
@@ -414,20 +379,16 @@ def test_support_is_every_point_up_to_the_box_bound():
             if loop_free and k < 3:
                 continue
             max_len = 14 if k < 6 else 10
-            for horizon in (None, max_len):
-                table = ChamberTable.build(k, max_len, horizon=horizon,
-                                           loop_free=loop_free)
-                for s in range(max_len + 1):
-                    cap = (s + loop_free) // 2
-                    if horizon is not None:
-                        cap = min(cap, (horizon - s + loop_free) // 2)
-                    expected = {shape_to_point(rows, k)
-                                for rows in _shapes_upto(k - 1, cap)}
-                    stored = dict(table.slice_items(s))
-                    assert set(stored) == expected, (k, loop_free, horizon, s)
-                    assert all(c > 0 for c in stored.values())
-                    assert sorted(map(table.point_id, stored)) == list(
-                        range(len(stored)))
+            table = ChamberTable.build(k, max_len, loop_free=loop_free)
+            for s in range(max_len + 1):
+                cap = (s + loop_free) // 2
+                expected = {shape_to_point(rows, k)
+                            for rows in _shapes_upto(k - 1, cap)}
+                stored = dict(table.slice_items(s))
+                assert set(stored) == expected, (k, loop_free, s)
+                assert all(c > 0 for c in stored.values())
+                assert sorted(map(table.point_id, stored)) == list(
+                    range(len(stored)))
 
 
 def test_slices_must_be_graded_prefixes():
@@ -436,4 +397,4 @@ def test_slices_must_be_graded_prefixes():
               for s in range(7)]
     del slices[4][table._pack((1, 0))]
     with pytest.raises(InvariantError, match="length 4"):
-        ChamberTable(3, 6, None, slices)
+        ChamberTable(3, 6, slices)

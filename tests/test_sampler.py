@@ -202,25 +202,8 @@ def test_session_parameter_errors():
         SamplerSession(3, 6, "regular", table=LoopFreeTable.build(3, 4))
 
 
-def test_horizon_table_serves_walks_whose_half_fits():
-    """A table pruned to horizon H equals the unpruned one up to length
-    H/2, so it serves the sessions whose half length is at most H/2."""
-    for mode, table, served in (
-            ("plain", ChamberTable.build(3, 16, horizon=16), 8),
-            ("regular", LoopFreeTable.build(3, 12, horizon=12), 7)):
-        total = total_partitions if mode == "plain" else total_regular
-        for n in range(served + 1):
-            session = SamplerSession(3, n, mode, seed=n, table=table)
-            assert session.total == total(3, n)
-            fresh = SamplerSession(3, n, mode, seed=n)
-            assert [session.draw() for _ in range(5)] == [
-                fresh.draw() for _ in range(5)]
-        with pytest.raises(ValueError, match=f"half lengths <= {table.horizon // 2},"):
-            SamplerSession(3, served + 1, mode, table=table)
-
-
 def test_shared_table_between_sessions():
-    table = ChamberTable.build(3, 12, horizon=12)
+    table = ChamberTable.build(3, 12)
     a = SamplerSession(3, 6, "plain", seed=0, table=table)
     b = SamplerSession(3, 6, "plain", seed=0, table=table)
     assert [a.draw()[1] for _ in range(10)] == [b.draw()[1] for _ in range(10)]
@@ -322,16 +305,16 @@ def _doctored(table, s, counts):
     slices = [{table._pack(v): c for v, c in table.slice_items(t)}
               for t in range(table.max_len + 1)]
     slices[s].update({table._pack(v): c for v, c in counts.items()})
-    return type(table)(table.k, table.max_len, table.horizon, slices)
+    return type(table)(table.k, table.max_len, slices)
 
 
 def test_draw_on_inconsistent_table_names_where():
-    table = ChamberTable.build(3, 16, horizon=16)
+    table = ChamberTable.build(3, 16)
     table = _doctored(table, 8, {v: 0 for v, _ in table.slice_items(8)})
     with pytest.raises(InvariantError, match=re.escape(
             "plain k=3 n=8: zero total weight at position 0 (point (1, 0))")):
         SamplerSession(3, 8, "plain", table=table)
-    table = _doctored(LoopFreeTable.build(3, 12, horizon=12), 6, {(1, 0): 5100})
+    table = _doctored(LoopFreeTable.build(3, 12), 6, {(1, 0): 5100})
     session = SamplerSession(3, 6, "regular", table=table)
     with pytest.raises(InvariantError, match=re.escape(
             "regular k=3 n=6: candidate weights sum below the stored total 5100"
@@ -373,12 +356,12 @@ def test_draw_that_cannot_end_on_the_start_point_raises_under_python_O():
 from nckp.counting import ChamberTable, InvariantError, LoopFreeTable
 from nckp.sampler import SamplerSession
 
-for mode, table in (("plain", ChamberTable.build(3, 8, horizon=8)),
-                    ("regular", LoopFreeTable.build(3, 8, horizon=8))):
+for mode, table in (("plain", ChamberTable.build(3, 8)),
+                    ("regular", LoopFreeTable.build(3, 8))):
     slices = [{table._pack(v): c for v, c in table.slice_items(t)}
               for t in range(table.max_len + 1)]
     slices[0] = {table._pack((1, 0)): 0, table._pack((2, 0)): 1}
-    doctored = type(table)(3, table.max_len, table.horizon, slices)
+    doctored = type(table)(3, table.max_len, slices)
     session = SamplerSession(3, 4, mode, seed=3, table=doctored)
     for _ in range(5):
         try:

@@ -10,7 +10,7 @@ def test_chamber_round_trip(tmp_path):
     save_tables(table, path)
     loaded = load_tables(path)
     assert isinstance(loaded, ChamberTable)
-    assert (loaded.k, loaded.max_len, loaded.horizon) == (3, 20, None)
+    assert (loaded.k, loaded.max_len) == (3, 20)
     for s in range(21):
         assert dict(loaded.slice_items(s)) == dict(table.slice_items(s))
 
@@ -73,18 +73,11 @@ def test_unknown_kind(tmp_path):
         load_tables(path)
 
 
-def test_save_rejects_a_horizon_table(tmp_path):
-    path = tmp_path / "k3r6.tab"
-    with pytest.raises(ValueError, match="horizon"):
-        save_tables(LoopFreeTable.build(3, 10, horizon=10), path)
-    assert not path.exists()
-
-
 def test_unpruned_loop_free_cache_loads_without_horizon(tmp_path):
     path = tmp_path / "k3r.tab"
     save_tables(LoopFreeTable.build(3, 8), path)
     assert not any(line.startswith("horizon") for line in _lines(path))
-    assert load_tables(path).horizon is None
+    assert isinstance(load_tables(path), LoopFreeTable)
 
 
 def test_horizon_line_is_rejected(tmp_path):
@@ -129,15 +122,15 @@ def test_rejects_data_after_the_header(tmp_path):
 
 
 def test_digest_pins_every_count():
-    table = ChamberTable.build(3, 12, horizon=12)
+    table = ChamberTable.build(3, 12)
     slices = [{table._pack(v): c for v, c in table.slice_items(s)}
               for s in range(13)]
-    copy = ChamberTable(3, 12, 12, slices)
+    copy = ChamberTable(3, 12, slices)
     assert copy.digest() == table.digest()
     for s in (0, 5, 12):
         key = next(iter(slices[s]))
         slices[s][key] += 1
-        assert ChamberTable(3, 12, 12, slices).digest() != table.digest()
+        assert ChamberTable(3, 12, slices).digest() != table.digest()
         slices[s][key] -= 1
 
 
@@ -153,10 +146,10 @@ def test_version_2_cache_asks_for_a_rebuild(tmp_path):
 
 
 def test_version_3_cache_asks_for_a_rebuild(tmp_path):
-    """A version 3 manifest, horizon line and all, as the previous format
-    wrote it for `nckp cache build --k 3 --n 4`."""
+    """A version 3 manifest, horizon line and all, laid out as the previous
+    format wrote it for `nckp cache build --k 3 --n 4`."""
     path = tmp_path / "t.tab"
-    table = ChamberTable.build(3, 8, horizon=8)
+    table = ChamberTable.build(3, 8)
     path.write_text("\n".join([
         "nckp-tab 3", "kind omega", "k 3", "max_len 8", "horizon 8",
         f"entries {table.entry_count()}", f"sha256 {table.digest()}"]) + "\n")
