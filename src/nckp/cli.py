@@ -5,7 +5,8 @@
                 [--format blocks|arcs|json] [--cache PATH]
     nckp cache build --k K --n N [--regular] --out PATH
     nckp verify [--k-max 4] [--n-max 8]
-    nckp stats  --k K --n N --samples M [--seed S] --metric blocks|arcs
+    nckp stats  --k K --n N --samples M [--seed S] [--regular]
+                --metric blocks|arcs [--cache PATH]
     nckp render --format svg [--out PATH]
 
 Exit codes: 0 ok, 2 usage or a table too large to build, 3 a cache that
@@ -19,20 +20,24 @@ holds a table of the half length, which serves every --n up to
 N (up to N+1 with --regular, whose walks have even length 2(N-1)).
 The sample stream for a seed does not depend on the table that serves it.
 Relative --cache paths resolve under $NCKP_CACHE_DIR when it is set.
+
+Each command imports only what it runs: `count` and `cache build` load
+just the counting engine and the cache store, and the sampler, the
+diagrams and the SVG renderer load inside the commands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from collections import Counter
 
-from .counting import TableLimitError, total_partitions, total_regular
-from .diagrams import parse_blocks_text
-from .render import render_svg
-from .sampler import SamplerSession, session_table
+from .counting import (
+    TableLimitError,
+    session_table,
+    total_partitions,
+    total_regular,
+)
 from .store import CacheError, load_tables, save_tables
 
 USAGE_ERROR = 2
@@ -81,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--regular", action="store_true")
     p.add_argument("--metric", choices=["blocks", "arcs"], required=True)
+    p.add_argument("--cache", help="load preprocessed tables from this file")
 
     p = sub.add_parser("render", help="read partitions on stdin, write SVG")
     p.add_argument("--format", choices=["svg"], default="svg")
@@ -114,11 +120,11 @@ def _resolve_cache(path: str) -> str:
 
 
 def _session_table(args):
-    """The count table of the sample or cache build command: the --cache
-    file's, once checked to hold the half length --n needs, or else a
-    freshly built one of that length."""
+    """The count table of the sample, stats or cache build command: the
+    --cache file's, once checked to hold the half length --n needs, or else
+    a freshly built one of that length."""
     mode = "regular" if args.regular else "plain"
-    if not getattr(args, "cache", None):
+    if getattr(args, "cache", None) is None:
         return session_table(args.k, args.n, mode)
     table = load_tables(_resolve_cache(args.cache))
     try:
@@ -133,6 +139,8 @@ def _format_sample(p, fmt: str) -> str:
         return p.to_text()
     if fmt == "arcs":
         return p.arcs_text()
+    import json
+
     return json.dumps(
         {"n": p.n, "blocks": [list(b) for b in p.blocks]}, separators=(",", ":")
     )
@@ -149,6 +157,8 @@ def _cmd_count(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 0:
         return _fail("--count must be >= 0", USAGE_ERROR)
+    from .sampler import SamplerSession
+
     mode = "regular" if args.regular else "plain"
     session = SamplerSession(args.k, args.n, mode, seed=args.seed,
                              table=_session_table(args))
@@ -165,6 +175,8 @@ def _cmd_cache_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     from .oracle import run_verification
 
     report = run_verification(args.k_max, args.n_max)
@@ -175,8 +187,13 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     if args.samples < 1:
         return _fail("--samples must be >= 1", USAGE_ERROR)
+    from collections import Counter
+
+    from .sampler import SamplerSession
+
     mode = "regular" if args.regular else "plain"
-    session = SamplerSession(args.k, args.n, mode, seed=args.seed)
+    session = SamplerSession(args.k, args.n, mode, seed=args.seed,
+                             table=_session_table(args))
     hist: Counter = Counter()
     for _ in range(args.samples):
         _, p = session.draw()
@@ -187,6 +204,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .diagrams import parse_blocks_text
+    from .render import render_svg
+
     partitions = []
     for lineno, line in enumerate(sys.stdin, start=1):
         line = line.strip()

@@ -40,6 +40,12 @@ lists the (step, target id) pairs out of one point, made once from the
 DP's step primitive, and lookup() reads a count, so the build and the
 draw share one step rule and the packing stays in this module.
 
+This module also owns the chamber primitives the DP runs on (start_point
+and in_chamber, which `walks.py` re-exports) and session_table, which
+picks or builds the table a (k, n, mode) session needs.  It imports
+nothing from the rest of the package, so `nckp count` and `nckp cache
+build` load only it and the cache store.
+
 The paper's formulas -- the reflection sum over the orthant and the
 inclusion-exclusion over loops -- live in `oracle.py` as independent
 cross-checks of these tables.
@@ -47,12 +53,9 @@ cross-checks of these tables.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from itertools import accumulate, chain, islice, zip_longest
 from math import factorial
-
-from .walks import in_chamber, start_point
 
 
 class TableLimitError(RuntimeError):
@@ -66,8 +69,21 @@ class InvariantError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# point packing
+# chamber points and their packing
 # ---------------------------------------------------------------------------
+
+def start_point(k: int) -> tuple[int, ...]:
+    """Chamber image of the empty shape: (k-2, k-3, ..., 1, 0)."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return tuple(range(k - 2, -1, -1))
+
+
+def in_chamber(v: tuple[int, ...]) -> bool:
+    if not v:
+        return True
+    return all(x >= 0 for x in v) and all(a > b for a, b in zip(v, v[1:]))
+
 
 def _coord_bits(k: int, max_len: int) -> int:
     top = (k - 2) + (max_len + 3) // 2
@@ -330,6 +346,8 @@ class _PackedTable:
         each tile's offsets as decimal text and its value bytes, so the
         digest does not depend on the host's byte order and no entry is
         unpacked."""
+        import hashlib
+
         h = hashlib.sha256()
         h.update(repr(self._keys).encode())
         for tile in self._tiles:
@@ -407,8 +425,34 @@ class LoopFreeTable(_PackedTable):
 
 
 # ---------------------------------------------------------------------------
-# totals
+# session tables and totals
 # ---------------------------------------------------------------------------
+
+def walk_length(n: int, mode: str) -> int:
+    """Steps of the complete walk behind one sample of size n."""
+    return 2 * n if mode == "plain" else max(2 * (n - 1), 0)
+
+
+def _table_class(mode: str):
+    return ChamberTable if mode == "plain" else LoopFreeTable
+
+
+def session_table(k: int, n: int, mode: str, table=None):
+    """The count table of a (k, n, mode) session: `table` once checked to
+    hold both halves of the session's walks, or else a freshly built one of
+    the half length."""
+    walk_len = walk_length(n, mode)
+    table_cls = _table_class(mode)
+    half = half_lengths(walk_len, table_cls.braid)[1]
+    if table is None:
+        return table_cls.build(k, half)
+    if not isinstance(table, table_cls):
+        raise TypeError(f"{mode} mode needs a {table_cls.__name__}")
+    if table.k != k or half > table.max_len:
+        raise ValueError(f"table serves k={table.k} half lengths"
+                         f" <= {table.max_len}, need k={k} half length {half}")
+    return table
+
 
 def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
     """Number of complete walks of length walk_len: sum_v f(v, m) * f(v, h)

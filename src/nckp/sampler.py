@@ -44,7 +44,13 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .bijection import braid_to_partition, decode_braid, decode_partition
-from .counting import ChamberTable, InvariantError, LoopFreeTable, half_lengths
+from .counting import (
+    InvariantError,
+    _table_class,
+    half_lengths,
+    session_table,
+    walk_length,
+)
 from .diagrams import Partition
 from .walks import (
     BRAID_WALK,
@@ -107,32 +113,6 @@ class TransitionWeights:
     steps: tuple[int, ...]
     weights: tuple[int, ...]
     total: int
-
-
-def walk_length(n: int, mode: str) -> int:
-    """Steps of the complete walk behind one sample of size n."""
-    return 2 * n if mode == "plain" else max(2 * (n - 1), 0)
-
-
-def _table_class(mode: str):
-    return ChamberTable if mode == "plain" else LoopFreeTable
-
-
-def session_table(k: int, n: int, mode: str, table=None):
-    """The count table of a (k, n, mode) session: `table` once checked to
-    hold both halves of the session's walks, or else a freshly built one of
-    the half length."""
-    walk_len = walk_length(n, mode)
-    table_cls = _table_class(mode)
-    half = half_lengths(walk_len, table_cls.braid)[1]
-    if table is None:
-        return table_cls.build(k, half)
-    if not isinstance(table, table_cls):
-        raise TypeError(f"{mode} mode needs a {table_cls.__name__}")
-    if table.k != k or half > table.max_len:
-        raise ValueError(f"table serves k={table.k} half lengths"
-                         f" <= {table.max_len}, need k={k} half length {half}")
-    return table
 
 
 class SamplerSession:

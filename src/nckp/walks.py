@@ -7,6 +7,8 @@ chamber W_{k-1} = {v : v_1 > v_2 > ... > v_{k-1} >= 0} via
     v_i = rows[i] + (k - 1 - i)        (1-based row index i)
 
 so the empty shape maps to the start point (k-2, k-3, ..., 1, 0).
+start_point and in_chamber, the chamber geometry the counting DP runs on,
+live in `counting.py` and are re-exported here.
 
 Steps are encoded as small ints: 0 does nothing, +r adds a box to row r,
 -r removes a box from row r.  A partition walk ("P") removes on odd steps
@@ -17,6 +19,8 @@ on even steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .counting import in_chamber, start_point
 
 PARTITION_WALK = "P"
 BRAID_WALK = "B"
@@ -34,21 +38,8 @@ class WalkError(ValueError):
         super().__init__(f"step {index}: {reason}")
 
 
-def start_point(k: int) -> tuple[int, ...]:
-    """Chamber image of the empty shape: (k-2, k-3, ..., 1, 0)."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return tuple(range(k - 2, -1, -1))
-
-
 def in_orthant(v: tuple[int, ...]) -> bool:
     return all(x >= 0 for x in v)
-
-
-def in_chamber(v: tuple[int, ...]) -> bool:
-    if not v:
-        return True
-    return all(x >= 0 for x in v) and all(a > b for a, b in zip(v, v[1:]))
 
 
 def is_valid_shape(rows: tuple[int, ...], k: int) -> bool:

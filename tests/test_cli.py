@@ -5,9 +5,11 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from nckp import cli
 from nckp.cli import main
 
 
@@ -202,25 +204,69 @@ def test_usage_exit_code_from_argparse(capsys):
     assert exc.value.code == 2
 
 
-def test_import_cli_leaves_scipy_unloaded():
-    code = "import sys, nckp.cli; print('scipy' in sys.modules)"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+COUNTING_ENGINE = ["nckp", "nckp.cli", "nckp.counting", "nckp.store"]
+NEVER_LOADED = ["scipy", "nckp.oracle", "fractions"]
+
+
+@pytest.mark.parametrize("argv, nckp_modules, unloaded", [
+    (["count", "--k", "3", "--n", "6"], COUNTING_ENGINE,
+     ["dataclasses", "hashlib", *NEVER_LOADED]),
+    (["cache", "build", "--k", "3", "--n", "6", "--out", "{out}"],
+     COUNTING_ENGINE, ["dataclasses", *NEVER_LOADED]),
+    (["sample", "--k", "3", "--n", "6", "--count", "2"], None, NEVER_LOADED),
+], ids=["count", "cache_build", "sample"])
+def test_command_loads_only_what_it_runs(tmp_path, argv, nckp_modules, unloaded):
+    """The modules loaded after a command, in a fresh `python -S`, so that
+    no site .pth file preloads anything: count and cache build load only
+    the counting engine and the store, and no command loads the oracles."""
+    argv = [a.format(out=tmp_path / "c.tab") for a in argv]
+    code = ("import sys\nfrom nckp.cli import main\nrc = main(sys.argv[1:])\n"
+            "print(rc, *sorted(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    rc, *loaded = out.splitlines()[-1].split()
+    assert rc == "0"
+    if nckp_modules is not None:
+        assert [m for m in loaded if m.split(".")[0] == "nckp"] == nckp_modules
+    assert [m for m in unloaded if m in loaded] == []
 
 
+def test_stats_cache_equivalence(capsys, tmp_path):
+    """stats --cache draws the histogram an uncached run prints, and exits
+    3 on a cache that does not fit the command."""
+    for regular in ((), ("--regular",)):
+        cache = tmp_path / f"c{len(regular)}.tab"
+        code, _, _ = run(capsys, "cache", "build", "--k", "3", "--n", "8",
+                         *regular, "--out", str(cache))
+        assert code == 0
+        argv = ("stats", "--k", "3", "--n", "8", "--samples", "60", "--seed",
+                "5", "--metric", "arcs", *regular)
+        code, fresh, _ = run(capsys, *argv)
+        assert code == 0 and fresh
+        code, cached, _ = run(capsys, *argv, "--cache", str(cache))
+        assert code == 0 and cached == fresh, regular
+    cache = str(tmp_path / "c0.tab")
+    for misfit in (("--k", "3", "--n", "9"), ("--k", "4", "--n", "8"),
+                   ("--k", "3", "--n", "8", "--regular")):
+        code, out, err = run(capsys, "stats", *misfit, "--samples", "5",
+                             "--metric", "blocks", "--cache", cache)
+        assert code == 3 and out == "" and cache in err, misfit
 
 
-def test_import_cli_leaves_oracle_and_fractions_unloaded():
-    code = ("import sys, nckp.cli;"
-            " print('nckp.oracle' in sys.modules, 'fractions' in sys.modules)")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False False"
+@pytest.mark.parametrize("command", [
+    ("sample", "--k", "3", "--n", "4", "--count", "1"),
+    ("stats", "--k", "3", "--n", "4", "--samples", "5", "--metric", "blocks"),
+], ids=["sample", "stats"])
+def test_empty_cache_path_is_a_usage_error(capsys, monkeypatch, command):
+    """An empty --cache names no file: exit 2, as `cache build --out ""`
+    does, and never a fresh table in its place."""
+    monkeypatch.delenv("NCKP_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, *command, "--cache", "")
+    assert (code, out) == (2, "") and err.startswith("nckp: error:")
+    code, out, err = run(capsys, "cache", "build", "--k", "3", "--n", "4",
+                         "--out", "")
+    assert (code, out) == (2, "") and err.startswith("nckp: error:")
 
 
 def test_cache_serves_every_n_its_half_length_covers(capsys, tmp_path):
