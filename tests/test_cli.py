@@ -232,6 +232,25 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, nckp_modules, unloaded)
     assert [m for m in unloaded if m in loaded] == []
 
 
+def test_import_cli_leaves_scipy_unloaded():
+    code = "import sys, nckp.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_import_cli_leaves_oracle_and_fractions_unloaded():
+    code = ("import sys, nckp.cli;"
+            " print('nckp.oracle' in sys.modules, 'fractions' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False False"
+
+
 def test_stats_cache_equivalence(capsys, tmp_path):
     """stats --cache draws the histogram an uncached run prints, and exits
     3 on a cache that does not fit the command."""
