@@ -31,14 +31,20 @@ Both tables number their chamber points once, in graded order: by box
 count, then by packed key, so the start point is id 0.  Every point with
 at most _box_bound(s) boxes has a walk of length s (add its boxes, then
 stay), so a slice's support is the id prefix [0, N_s); the constructor
-checks this (InvariantError otherwise) and stores every slice densely by
-id: TILE consecutive slices share an offset array and one bytes blob of
-big-endian values, interleaved by id, so a lookup is two array reads and
-a draw, which reads lengths s, s-1, ... at nearby ids, stays on the same
-memory pages for TILE steps.  A sampler reads a table by id: moves()
-lists the (step, target id) pairs out of one point, made once from the
-DP's step primitive, and lookup() reads a count, so the build and the
-draw share one step rule and the packing stays in this module.
+checks this (InvariantError otherwise) and stores the counts densely by
+id, in one row of Python ints per point: row i holds the counts of id i
+at every length from the first whose prefix holds i to max_len, so a
+lookup is two list reads, and a draw, which reads lengths s, s-1, ... of
+the few points it walks along, stays on their rows.  The rows grow a tile
+of TILE lengths at a time, by fresh copies of the DP's counts made id by
+id, so that a row's counts of one tile lie side by side in memory.  The
+same tiles, with the counts interleaved by id as big-endian bytes, are
+the serialisation digest() hashes, which caches pin.  A sampler
+reads a table by id: moves() lists the (step, target id) pairs out of one
+point, made once from the DP's step primitive, and lookup() reads a
+count, so the build and the draw share one step rule.  The draw's inner
+loop reads the rows and the moves memo directly, to save a call per
+candidate.
 
 This module also owns the chamber primitives the DP runs on (start_point
 and in_chamber, which `walks.py` re-exports) and session_table, which
@@ -53,9 +59,11 @@ cross-checks of these tables.
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, chain, islice, zip_longest
+from bisect import bisect_right
+from collections import deque
+from itertools import accumulate, chain, islice, repeat, zip_longest
 from math import factorial
+from operator import add, getitem, mul, sub
 
 
 class TableLimitError(RuntimeError):
@@ -226,37 +234,34 @@ def _walk_slices(k: int, max_len: int, loop_free: bool):
 
 
 # ---------------------------------------------------------------------------
-# dense tiles and the two count tables
+# per-point rows and the two count tables
 # ---------------------------------------------------------------------------
 
-TILE = 8  # lengths per _Tile
+TILE = 8  # lengths per tile: rows grow, and digest() serialises, by tiles
 
 
-class _Tile:
-    """The counts of TILE consecutive lengths, interleaved by point id:
-    entry e = i * TILE + j holds the count of id i at the tile's j-th
-    length as blob[offsets[e]:offsets[e + 1]] read big-endian, and is empty
-    past that length's prefix.  A draw reads lengths s, s-1, s-2, ... at
-    nearby ids, so one tile keeps its next reads on the memory pages of its
-    last ones."""
-
-    __slots__ = ("offsets", "blob")
-
-    def __init__(self, rows):
-        """`rows` holds up to TILE lists of counts, one per length, by id."""
-        rows = [[v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in vals]
-                for vals in rows]
-        rows += [[]] * (TILE - len(rows))
-        chunks = list(chain.from_iterable(zip_longest(*rows, fillvalue=b"")))
-        self.offsets = array("Q", accumulate(map(len, chunks), initial=0))
-        self.blob = b"".join(chunks)
+def _sha256():
+    """A SHA-256 hasher from the interpreter's own module, like `random`
+    takes _sha512: hashlib would load OpenSSL for this one hash."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
 
 
 class _PackedTable:
-    """Walk counts for all endpoints and lengths 0..max_len, dense by point
-    id in tiles of TILE lengths; `braid` tells the walk kind.  Built once,
-    immutable afterwards (but for the moves() memo, which only grows) and
-    safe to share.  count() takes a point and checks it; moves() and
+    """Walk counts for all endpoints and lengths 0..max_len, in one row (a
+    tuple of Python ints) per point id; `braid` tells the walk kind.  Row i
+    holds the counts of id i at lengths _first[i]..max_len, where _first[i]
+    is the first length whose prefix holds i, and a 0 at any length whose
+    prefix does not.  A draw walks along a few points, reading each one's
+    row at lengths s, s-1, ..., so its reads stay on those rows.  Built
+    once, immutable afterwards (but for the moves() memo, which only grows)
+    and safe to share.  count() takes a point and checks it; moves() and
     lookup() take point ids and do not check.
     """
 
@@ -281,16 +286,50 @@ class _PackedTable:
             self._keys += sorted(nxt)
             level = nxt
         self._ids = {key: i for i, key in enumerate(self._keys)}
+        self._sizes: list[int] = []  # length -> ids its prefix holds
+        self._first: list[int] = []  # id -> first length whose prefix holds it
+        rows: list = []  # id -> counts from _first[id] on
         dense = (self._dense(s, sl) for s, sl in enumerate(slices))
-        self._sizes: list[int] = []
-        self._tiles: list[_Tile] = []
-        while rows := list(islice(dense, TILE)):  # a tile at a time
-            self._sizes += map(len, rows)
-            self._tiles.append(_Tile(rows))
-        self._moves: dict = {}
+        while cols := list(islice(dense, TILE)):  # a tile at a time
+            self._extend_rows(rows, cols)
+        missing = len(self._keys) - len(rows)  # ids no slice holds
+        rows += ([] for _ in range(missing))
+        self._first += [len(self._sizes)] * missing
+        # The collector stops tracking a tuple of ints after its first pass
+        # over it, so later full collections skip the table's counts; a
+        # list of them would be walked count by count every time.
+        for i, row in enumerate(rows):
+            rows[i] = tuple(row)
+        self._rows: list[tuple[int, ...]] = rows
+        # _make_moves memo, by adding + 2 * after_top, then id
+        self._moves = [[None] * len(self._keys) for _ in range(4)]
         self._step_codes = {0: 0}
         for i, sh in enumerate(self._shifts):
             self._step_codes.update({1 << sh: i + 1, -(1 << sh): -i - 1})
+
+    def _extend_rows(self, rows: list, cols: list) -> None:
+        """Append the next lengths, `cols` holding each one's counts by id,
+        to the rows: a 0 where a length's prefix misses an id an earlier
+        length held, nothing before an id's first length.  The counts go
+        in as fresh copies made id by id while the DP's own objects are
+        still alive, so the copies land on new memory and a row's counts
+        of one tile lie side by side: a draw reads one point at lengths s,
+        s-1, ..., and the DP leaves each length's counts scattered."""
+        lo, old, width = len(self._sizes), len(rows), len(cols)
+        lens = list(map(len, cols))
+        self._sizes += lens
+        reach = list(accumulate(lens, max))  # ids some length so far holds
+        # x + 0 is a new object for every count past the small-int cache
+        fresh = map(add, chain.from_iterable(zip_longest(*cols, fillvalue=0)),
+                    repeat(0))
+        by_id = zip(*[fresh] * width)
+        deque(map(list.extend, rows, islice(by_id, old)), 0)  # at C level
+        for row in rows[reach[-1]:old]:  # ids no length of the tile holds
+            row.extend(repeat(0, width))
+        # an id the tile adds starts at the first length that holds it
+        starts = list(map(bisect_right, repeat(reach), range(old, reach[-1])))
+        rows += map(list, map(getitem, by_id, map(slice, starts, repeat(None))))
+        self._first += map(add, repeat(lo), starts)
 
     def _dense(self, s: int, entries: dict) -> list[int]:
         """The counts of a slice by id; its points must be ids
@@ -299,11 +338,16 @@ class _PackedTable:
         try:
             if n > len(self._keys):
                 raise KeyError
-            vals = list(map(entries.__getitem__, self._keys[:n]))
+            vals = list(map(entries.__getitem__, islice(self._keys, n)))
         except KeyError:
             raise InvariantError(
                 f"the points of length {s} are not a graded prefix") from None
         return vals
+
+    def _column(self, s: int) -> list[int]:
+        """The counts at length s of the ids its prefix holds, by id."""
+        at = map(sub, repeat(s), islice(self._first, self._sizes[s]))
+        return list(map(getitem, self._rows, at))
 
     def count(self, v: tuple[int, ...], s: int) -> int:
         """The number of walks of length s from the start point to v: 0 when
@@ -327,63 +371,87 @@ class _PackedTable:
         if h > self.max_len:
             raise ValueError(f"table serves half lengths <= {self.max_len},"
                              f" a walk of length {walk_len} needs {h}")
-        lookup = self.lookup
-        return [lookup(i, m) * lookup(i, h)
-                for i in range(min(self._sizes[m], self._sizes[h]))]
+        return list(map(mul, self._column(m), self._column(h)))
 
     def slice_items(self, s: int):
         """Iterate (point, count) over the stored support at length s, in
         increasing point order."""
-        keys = self._keys
-        for i in sorted(range(self._sizes[s]), key=keys.__getitem__):
-            yield self._unpack(keys[i]), self.lookup(i, s)
+        keys, vals = self._keys, self._column(s)
+        for i in sorted(range(len(vals)), key=keys.__getitem__):
+            yield self._unpack(keys[i]), vals[i]
 
     def entry_count(self) -> int:
         return sum(self._sizes)
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the dense layout: the graded keys, then
-        each tile's offsets as decimal text and its value bytes, so the
-        digest does not depend on the host's byte order and no entry is
-        unpacked."""
-        import hashlib
-
-        h = hashlib.sha256()
+        """SHA-256 hex digest of the graded keys and the counts, serialised
+        in tiles of TILE lengths: per tile, its counts interleaved by id
+        (entry i * TILE + j is the count of id i at the tile's j-th length,
+        empty past that length's prefix) as big-endian bytes, preceded by
+        the entries' offsets as decimal text.  The text does not depend on
+        the host's byte order, and it is the layout version 4 caches pin."""
+        h = _sha256()
         h.update(repr(self._keys).encode())
-        for tile in self._tiles:
-            h.update(repr(list(tile.offsets)).encode())
-            h.update(tile.blob)
+        for t in range(0, self.max_len + 1, TILE):
+            chunks = self._tile_chunks(t)
+            h.update(repr(list(accumulate(map(len, chunks), initial=0))).encode())
+            h.update(b"".join(chunks))
         return h.hexdigest()
 
+    def _tile_chunks(self, t: int) -> list[bytes]:
+        """The entries of the tile of lengths t..t+TILE-1, for digest():
+        each id's counts at those lengths as big-endian bytes, a 0 as one
+        byte, and empty where a length's prefix misses the id or the length
+        is past max_len."""
+        rows, first = self._rows, self._first
+        lens = self._sizes[t:t + TILE]
+        width, low = len(lens), min(lens)
+        pad = (None,) * (TILE - width)
+        # every length of the tile holds the ids below `low`: a row slice each
+        starts = list(map(sub, repeat(t), islice(first, low)))
+        vals = list(chain.from_iterable(map(
+            getitem, rows, map(slice, starts, map(add, starts, repeat(width))))))
+        if pad:
+            vals = list(chain.from_iterable(
+                map(add, zip(*[iter(vals)] * width), repeat(pad))))
+        for i in range(low, max(lens)):  # ids some length of the tile misses
+            row, at = rows[i], t - first[i]
+            vals += [row[at + j] if i < n else None for j, n in enumerate(lens)]
+            vals += pad
+        return [b"" if v is None
+                else v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
+                for v in vals]
+
     def lookup(self, i: int, s: int) -> int:
-        """count() of point id i, unchecked: 0 past the slice's prefix."""
-        tile = self._tiles[s // TILE]
-        off, e = tile.offsets, i * TILE + s % TILE
-        try:
-            return int.from_bytes(tile.blob[off[e] : off[e + 1]], "big")
-        except IndexError:  # past the tile's longest prefix
-            return 0
+        """count() of point id i, unchecked: 0 where no prefix holds it."""
+        at = s - self._first[i]
+        return self._rows[i][at] if at >= 0 else 0
 
     def moves(self, i: int, s: int, adding: bool,
               after_top: bool = False) -> tuple[tuple[int, int], ...]:
         """(step, target id) of each move the DP makes out of point id i
         onto slice s, in the step order of `walks.legal_steps`; after_top
         drops remove(1), which may not follow add(1) in a loop-free walk.
-        The moves of each (i, adding, after_top) are made once, by the DP's
-        step primitive, less the targets past the table's numbering, and cut
-        here to the ids slice s holds."""
-        memo = self._moves.get((i, adding, after_top))
-        if memo is None:
-            key, out, ids = self._keys[i], {}, self._ids
-            _advance({key: 1}, out, self._shifts, self._mask, adding,
-                     range(after_top, self.k - 1), True)
-            found = tuple((self._step_codes[q - key], ids[q])
-                          for q in out if q in ids)
-            memo = self._moves[i, adding, after_top] = (
-                found, max((t for _, t in found), default=-1))
-        found, last = memo
+        The moves of each (i, adding, after_top) are made once, less the
+        targets past the table's numbering, and cut here to the ids slice s
+        holds."""
+        found, last = (self._moves[adding + 2 * after_top][i]
+                       or self._make_moves(i, adding, after_top))
         n = self._sizes[s]
         return found if last < n else tuple(m for m in found if m[1] < n)
+
+    def _make_moves(self, i: int, adding: bool, after_top: bool):
+        """Fill and return _moves[adding + 2 * after_top][i]: the moves out
+        of id i by the DP's step primitive, and the largest target id (-1
+        when there is none), which tells moves() whether to cut them."""
+        key, out, ids = self._keys[i], {}, self._ids
+        _advance({key: 1}, out, self._shifts, self._mask, adding,
+                 range(after_top, self.k - 1), True)
+        found = tuple((self._step_codes[q - key], ids[q])
+                      for q in out if q in ids)
+        memo = (found, max((t for _, t in found), default=-1))
+        self._moves[adding + 2 * after_top][i] = memo
+        return memo
 
     def point(self, i: int) -> tuple[int, ...]:
         return self._unpack(self._keys[i])

@@ -19,7 +19,11 @@ probability exactly 1/total, and a draw uses one uniform_below.  Plain
 mode samples partition walks; regular mode samples loop-free braid walks
 a vertex (add, remove) at a time and maps them back to 2-regular
 partitions.  The count table needs only the lengths up to h, and any table
-that holds them serves the session.
+that holds them serves the session.  The unranking reads each weight
+straight from the table's storage, one row of ints per point id
+(counting._PackedTable; its tiles of lengths are only the serialisation
+that cache digests hash), and a half walks back along a few points, so
+its reads stay on their rows.
 
 partition_weights, regular_weights and path_probability give the forward
 transition weights on shapes, as a reference; they read full-length
@@ -185,13 +189,22 @@ class SamplerSession:
         weighted by the walks that reach its target.  `second` tells which
         half this is, for naming positions in the whole walk."""
         table = self.table
-        moves, lookup = table.moves, table.lookup
+        rows, first, sizes = table._rows, table._first, table._sizes
         plain = self.mode == "plain"
         codes: list[int] = []
         for s in range(length, 0, -1 if plain else -2):
-            for back, prev in (moves(cur, s - 1, s % 2 == 1) if plain
-                               else self._back_vertices(cur, s)):
-                weight = lookup(prev, s - (1 if plain else 2))
+            t = s - (1 if plain else 2)
+            if plain:  # table.moves(cur, t, adding), its memo read inline
+                adding = s % 2 == 1
+                found, last = (table._moves[adding][cur]
+                               or table._make_moves(cur, adding, False))
+                if last >= sizes[t]:  # some target lies past slice t
+                    found = table.moves(cur, t, adding)
+            else:
+                found = self._back_vertices(cur, s)
+            # every target is held by slice t, so t >= first[prev]
+            for back, prev in found:
+                weight = rows[prev][t - first[prev]]
                 if rank < weight:
                     break
                 rank -= weight
@@ -199,7 +212,7 @@ class SamplerSession:
                 raise self._inconsistent(
                     self.walk_len - s if second else s, cur,
                     "candidate weights sum below the stored total"
-                    f" {lookup(cur, s)}")
+                    f" {table.lookup(cur, s)}")
             if plain:
                 codes.append(back)
             else:

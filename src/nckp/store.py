@@ -5,7 +5,7 @@
     k 3
     max_len 20
     entries 100
-    sha256 <hex digest of the table's dense layout>
+    sha256 <hex digest of the table's serialised counts>
 
 Kind omega is a ChamberTable (partition walks), sigma_star a LoopFreeTable
 (loop-free braid walks).  A sampler needs only the lengths up to the half
@@ -19,13 +19,15 @@ machine: 0.17 s against 0.33 s for 4 MB of text), and counts read from
 disk would each have to be checked before a sampler could trust them.  So
 load_tables reads the six header lines, rebuilds the named table with
 ChamberTable.build, and accepts it only when its entry count and digest
-equal the recorded ones.  The digest covers the table's dense layout (its
-graded point ids and each tile's offsets and value bytes, see
-counting.py), so a change of layout or of what a table holds changes the
-version: version 3 also named a horizon, version 2 pinned the digest of
-the earlier sorted-key slices and version 1 was a count dump.  A file that
-was edited, cut short, written by a DP that counts differently, or written
-in another version raises CacheError naming the file; `nckp cache build`
+equal the recorded ones.  The digest covers the table's graded point ids
+and its counts, serialised in tiles of counting.TILE lengths: each tile's
+offsets and value bytes (see _PackedTable.digest; a table stores rows of
+ints, and the tiles exist only to be hashed).  A change of that
+serialisation or of what a table holds changes the version: version 3
+also named a horizon, version 2 pinned the digest of the earlier
+sorted-key slices and version 1 was a count dump.  A file that was
+edited, cut short, written by a DP that counts differently, or written in
+another version raises CacheError naming the file; `nckp cache build`
 writes a fresh one.
 """
 

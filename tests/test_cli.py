@@ -11,6 +11,8 @@ import pytest
 
 from nckp import cli
 from nckp.cli import main
+from nckp.counting import ChamberTable
+from nckp.store import save_tables
 
 
 def run(capsys, *argv):
@@ -206,20 +208,26 @@ def test_usage_exit_code_from_argparse(capsys):
 
 COUNTING_ENGINE = ["nckp", "nckp.cli", "nckp.counting", "nckp.store"]
 NEVER_LOADED = ["scipy", "nckp.oracle", "fractions"]
+OPENSSL = ["hashlib", "_hashlib"]  # the digest uses the builtin sha256
 
 
 @pytest.mark.parametrize("argv, nckp_modules, unloaded", [
     (["count", "--k", "3", "--n", "6"], COUNTING_ENGINE,
-     ["dataclasses", "hashlib", *NEVER_LOADED]),
+     ["dataclasses", *OPENSSL, *NEVER_LOADED]),
     (["cache", "build", "--k", "3", "--n", "6", "--out", "{out}"],
-     COUNTING_ENGINE, ["dataclasses", *NEVER_LOADED]),
+     COUNTING_ENGINE, ["dataclasses", *OPENSSL, *NEVER_LOADED]),
     (["sample", "--k", "3", "--n", "6", "--count", "2"], None, NEVER_LOADED),
-], ids=["count", "cache_build", "sample"])
+    (["sample", "--k", "3", "--n", "6", "--count", "2", "--cache", "{cache}"],
+     None, [*OPENSSL, *NEVER_LOADED]),
+], ids=["count", "cache_build", "sample", "sample_cache"])
 def test_command_loads_only_what_it_runs(tmp_path, argv, nckp_modules, unloaded):
     """The modules loaded after a command, in a fresh `python -S`, so that
     no site .pth file preloads anything: count and cache build load only
-    the counting engine and the store, and no command loads the oracles."""
-    argv = [a.format(out=tmp_path / "c.tab") for a in argv]
+    the counting engine and the store, the cache digest loads no OpenSSL,
+    and no command loads the oracles."""
+    cache = tmp_path / "k3.tab"
+    save_tables(ChamberTable.build(3, 6), cache)
+    argv = [a.format(out=tmp_path / "c.tab", cache=cache) for a in argv]
     code = ("import sys\nfrom nckp.cli import main\nrc = main(sys.argv[1:])\n"
             "print(rc, *sorted(sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -350,6 +350,49 @@ def test_moves_follow_legal_steps():
                         assert table.lookup(q, 9) == table.count(table.point(q), 9)
 
 
+def _lookups_match(table, slices):
+    """lookup(i, s) is the count slice s gives id i inside its prefix, and
+    0 outside it, for every id and every length."""
+    for s, counts in enumerate(slices):
+        for i in range(len(table._keys)):
+            inside = i < len(counts)
+            expected = counts[table._keys[i]] if inside else 0
+            assert table.lookup(i, s) == expected, (s, i)
+
+
+def test_lookup_equals_count_everywhere():
+    from nckp.counting import _walk_slices
+
+    for table in (ChamberTable.build(3, 21), ChamberTable.build(5, 11),
+                  LoopFreeTable.build(3, 18), LoopFreeTable.build(4, 12)):
+        slices = list(_walk_slices(table.k, table.max_len, table.braid))
+        _lookups_match(table, slices)
+        for i in range(len(table._keys)):
+            for s in range(table.max_len + 1):
+                assert table.lookup(i, s) == table.count(table.point(i), s)
+
+
+def test_lookup_on_prefixes_that_are_not_monotone():
+    """Slice 0 doctored to hold ids 0 and 1 while slice 1 holds id 0 only,
+    or to hold every id while the next tile of lengths holds fewer: an id
+    reads its count where a prefix holds it and a 0 in the gaps."""
+    table = ChamberTable.build(3, 17)
+    slices = [{table._pack(v): c for v, c in table.slice_items(s)}
+              for s in range(18)]
+    slices[0] = {table._pack((1, 0)): 0, table._pack((2, 0)): 1}
+    doctored = ChamberTable(3, 17, slices)
+    assert [len(d) for d in slices[:3]] == [2, 1, 2]
+    _lookups_match(doctored, slices)
+    assert [doctored.lookup(1, s) for s in range(3)] == [1, 0, 1]
+    last = len(table._keys) - 1
+    slices[0] = {key: i + 1 for i, key in enumerate(table._keys)}
+    doctored = ChamberTable(3, 17, slices)
+    assert len(slices[15]) <= last < len(slices[16])
+    _lookups_match(doctored, slices)
+    assert doctored.lookup(last, 0) == last + 1
+    assert doctored.lookup(last, 15) == 0 < doctored.lookup(last, 16)
+
+
 def test_moves_drop_points_the_slice_cannot_hold():
     table = ChamberTable.build(3, 6)
     start = table.start_id

@@ -156,3 +156,64 @@ def test_version_3_cache_asks_for_a_rebuild(tmp_path):
     with pytest.raises(CacheError, match="unsupported cache version 3 .*"
                        "rebuild it with nckp cache build"):
         load_tables(path)
+
+
+def _v4_digest(keys, slices):
+    """SHA-256 of the version 4 serialisation, written out independently of
+    the table's storage: the graded keys as text, then per tile of eight
+    lengths the counts interleaved by id (an empty chunk past a length's
+    prefix, a 0 as one byte) as big-endian bytes, after their offsets."""
+    import hashlib
+
+    h = hashlib.sha256(repr(keys).encode())
+    cols = [[d[key].to_bytes(max(1, (d[key].bit_length() + 7) // 8), "big")
+             for key in keys[:len(d)]] for d in slices]
+    for t in range(0, len(cols), 8):
+        tile = cols[t:t + 8]
+        tile += [[]] * (8 - len(tile))
+        chunks = []
+        for i in range(max(map(len, tile))):
+            for col in tile:
+                chunks.append(col[i] if i < len(col) else b"")
+        offsets = [0]
+        for chunk in chunks:
+            offsets.append(offsets[-1] + len(chunk))
+        h.update(repr(offsets).encode())
+        h.update(b"".join(chunks))
+    return h.hexdigest()
+
+
+def _dp_slices(k, max_len, loop_free):
+    from nckp.counting import _walk_slices
+
+    return [dict(d) for d in _walk_slices(k, max_len, loop_free)]
+
+
+def _graded_keys(table, last):
+    """The packed points of the last DP slice, by box count, then key."""
+    return sorted(last, key=lambda key: (sum(table._unpack(key)), key))
+
+
+@pytest.mark.parametrize("cls, k, max_len", [
+    (ChamberTable, 2, 21), (ChamberTable, 3, 16), (ChamberTable, 3, 21),
+    (ChamberTable, 4, 13), (ChamberTable, 5, 11),
+    (LoopFreeTable, 3, 22), (LoopFreeTable, 4, 14),
+])
+def test_digest_is_the_version_4_serialisation(cls, k, max_len):
+    table = cls.build(k, max_len)
+    slices = _dp_slices(k, max_len, table.braid)
+    assert table.digest() == _v4_digest(_graded_keys(table, slices[-1]), slices)
+
+
+def test_digest_of_tables_whose_prefixes_are_not_monotone():
+    """Slice 0 holds two ids, slice 1 one: the count 0 at the start point
+    is a byte, the gap of id 1 at length 1 an empty chunk.  Then slice 0
+    holds every id, and the whole next tile of lengths fewer."""
+    slices = _dp_slices(3, 17, False)
+    table = ChamberTable.build(3, 17)
+    keys = _graded_keys(table, slices[-1])
+    for doctored_0 in ({table._pack((1, 0)): 0, table._pack((2, 0)): 1},
+                       {key: i + 1 for i, key in enumerate(keys)}):
+        slices[0] = doctored_0
+        doctored = ChamberTable(3, 17, slices)
+        assert doctored.digest() == _v4_digest(keys, slices) != table.digest()
