@@ -19,6 +19,16 @@ length 2n-1 prefix into a braid walk of length 2n-2 with the same shape
 sequence, which is the walk-level partition <-> braid correspondence.  On
 diagrams the same correspondence simply shifts right endpoints down by
 one: arc (i, j) <-> arc (i, j-1), with loops standing in for gap-one arcs.
+So a complete braid walk of length 2n-2 with a do-nothing step added on
+either side is a complete partition walk of length 2n, and it decodes to
+the partition of [n] that braid_to_partition(decode_braid(walk)) gives;
+the sampler decodes its regular draws by this padded route.
+
+decode_partition(walk, validate=False) trusts the walk to be legal: it
+runs the insertion engine into an array of right endpoints and builds the
+canonical blocks directly, with none of the checks of validate_walk,
+blocks_from_arcs and Partition.from_blocks.  Every other function here
+checks its input.
 """
 
 from __future__ import annotations
@@ -129,16 +139,56 @@ def _decode(steps: tuple[int, ...], first: str) -> list[tuple[int, int]]:
     return arcs
 
 
+def _trusted_blocks(steps: tuple[int, ...], k: int) -> Partition:
+    """The partition of a complete partition walk that is legal by
+    construction: the insertion engine of _decode run into a right_of
+    array, whose blocks are read off in canonical order (by minimum, each
+    one increasing), so the Partition is built without a check."""
+    n = len(steps) // 2
+    rows: list[list[int]] = [[] for _ in range(k - 1)]
+    right_of = [0] * (n + 1)  # vertex -> its arc's right endpoint, or 0
+    has_left = [False] * (n + 1)  # vertex -> some arc ends on it
+    bisect_left = bisect.bisect_left
+    pairs = iter(steps)
+    for vertex, (remove, add) in enumerate(zip(pairs, pairs), 1):
+        if remove:  # Filling.eject(-remove)
+            r = -remove - 1
+            value = rows[r].pop()
+            while r:
+                r -= 1
+                row = rows[r]
+                i = bisect_left(row, value) - 1
+                row[i], value = value, row[i]
+            right_of[value] = vertex
+            has_left[vertex] = True
+        if add:  # Filling.place(add, vertex)
+            rows[add - 1].append(vertex)
+    blocks = []
+    for v in range(1, n + 1):
+        if not has_left[v]:
+            block = [v]
+            j = right_of[v]
+            while j:
+                block.append(j)
+                j = right_of[j]
+            blocks.append(tuple(block))
+    return Partition(n, tuple(blocks))
+
+
 def decode_partition(walk: Walk, *, validate: bool = True) -> Partition:
     """Decode a complete partition walk of length 2n into its partition.
-    validate=False skips validate_walk, for walks legal by construction
-    (a sampler's draws); an illegal walk then decodes to garbage."""
+    validate=False skips validate_walk and every check of the arcs and
+    blocks, for walks legal by construction (a sampler's draws): the
+    canonical blocks are built directly.  An illegal walk then decodes to
+    garbage."""
     if walk.kind != PARTITION_WALK:
         raise ValueError(f"expected a partition walk, got kind {walk.kind!r}")
     if validate:
         validate_walk(walk, complete=True)
     if len(walk.steps) % 2:
         raise WalkError(len(walk.steps), "complete walk must have even length")
+    if not validate:
+        return _trusted_blocks(walk.steps, walk.k)
     n = len(walk.steps) // 2
     arcs = _decode(walk.steps, "remove")
     return blocks_from_arcs(n, arcs)

@@ -134,16 +134,21 @@ def _session_table(args):
         raise CacheError(f"cache {args.cache} does not fit {flags}: {exc}") from None
 
 
-def _format_sample(p, fmt: str) -> str:
+def _formatter(fmt: str):
+    """The function that turns a sampled partition into its output line."""
+    from .diagrams import Partition
+
     if fmt == "blocks":
-        return p.to_text()
+        return Partition.to_text
     if fmt == "arcs":
-        return p.arcs_text()
+        return Partition.arcs_text
     import json
 
-    return json.dumps(
-        {"n": p.n, "blocks": [list(b) for b in p.blocks]}, separators=(",", ":")
-    )
+    def as_json(p) -> str:
+        return json.dumps({"n": p.n, "blocks": [list(b) for b in p.blocks]},
+                          separators=(",", ":"))
+
+    return as_json
 
 
 def _cmd_count(args) -> int:
@@ -162,10 +167,10 @@ def _cmd_sample(args) -> int:
     mode = "regular" if args.regular else "plain"
     session = SamplerSession(args.k, args.n, mode, seed=args.seed,
                              table=_session_table(args))
-    out = sys.stdout
+    write, line = sys.stdout.write, _formatter(args.format)
     for _ in range(args.count):
         _, p = session.draw()
-        out.write(_format_sample(p, args.format) + "\n")
+        write(line(p) + "\n")
     return 0
 
 

@@ -41,10 +41,11 @@ id, so that a row's counts of one tile lie side by side in memory.  The
 same tiles, with the counts interleaved by id as big-endian bytes, are
 the serialisation digest() hashes, which caches pin.  A sampler
 reads a table by id: moves() lists the (step, target id) pairs out of one
-point, made once from the DP's step primitive, and lookup() reads a
-count, so the build and the draw share one step rule.  The draw's inner
-loop reads the rows and the moves memo directly, to save a call per
-candidate.
+point, made once from the DP's step primitive, vertices() the loop-free
+braid vertices (two moves) into one point, made once from moves(), and
+lookup() reads a count, so the build and the draw share one step rule.
+The draw's inner loop reads the rows and the two memos directly, to save
+a call per candidate.
 
 This module also owns the chamber primitives the DP runs on (start_point
 and in_chamber, which `walks.py` re-exports) and session_table, which
@@ -260,9 +261,10 @@ class _PackedTable:
     is the first length whose prefix holds i, and a 0 at any length whose
     prefix does not.  A draw walks along a few points, reading each one's
     row at lengths s, s-1, ..., so its reads stay on those rows.  Built
-    once, immutable afterwards (but for the moves() memo, which only grows)
-    and safe to share.  count() takes a point and checks it; moves() and
-    lookup() take point ids and do not check.
+    once, immutable afterwards (but for the moves() and vertices() memos,
+    which only grow) and safe to share, memos included.  count() takes a
+    point and checks it; moves(), vertices() and lookup() take point ids
+    and do not check.
     """
 
     braid = False
@@ -303,6 +305,7 @@ class _PackedTable:
         self._rows: list[tuple[int, ...]] = rows
         # _make_moves memo, by adding + 2 * after_top, then id
         self._moves = [[None] * len(self._keys) for _ in range(4)]
+        self._vertices = [None] * len(self._keys)  # _make_vertices memo, by id
         self._step_codes = {0: 0}
         for i, sh in enumerate(self._shifts):
             self._step_codes.update({1 << sh: i + 1, -(1 << sh): -i - 1})
@@ -451,6 +454,41 @@ class _PackedTable:
                       for q in out if q in ids)
         memo = (found, max((t for _, t in found), default=-1))
         self._moves[adding + 2 * after_top][i] = memo
+        return memo
+
+    def vertices(self, i: int, s: int):
+        """((undo remove, undo add), origin id) of each loop-free braid
+        vertex that ends on point id i after s steps, in the step order of
+        moves(): undo the remove with an add onto slice s-1, then the add
+        with a remove onto slice s-2, and after add(1) undid remove(1) no
+        remove(1) may undo add(1), since that vertex would be a loop.  The
+        vertices of each id are made once and cut here to those whose
+        middle point slice s-1 holds and whose origin slice s-2 holds."""
+        found, last, last_mid, triples = (self._vertices[i]
+                                          or self._make_vertices(i))
+        n, n_mid = self._sizes[s - 2], self._sizes[s - 1]
+        if last < n and last_mid < n_mid:
+            return found
+        return tuple((back, prev) for back, mid, prev in triples
+                     if mid < n_mid and prev < n)
+
+    def _make_vertices(self, i: int):
+        """Fill and return _vertices[i]: the (undo, origin) pairs of the
+        vertices into id i, the largest origin and middle ids (-1 when
+        there is none), which tell vertices() whether to cut them, and the
+        (undo, middle, origin) triples the cut reads."""
+        def made(j, adding, after_top):  # moves() of id j, uncut
+            return (self._moves[adding + 2 * after_top][j]
+                    or self._make_moves(j, adding, after_top))[0]
+
+        triples = tuple(((undo_remove, undo_add), mid, prev)
+                        for undo_remove, mid in made(i, True, False)
+                        for undo_add, prev in made(mid, False, undo_remove == 1))
+        memo = (tuple((back, prev) for back, _, prev in triples),
+                max((prev for *_, prev in triples), default=-1),
+                max((mid for _, mid, _ in triples), default=-1),
+                triples)
+        self._vertices[i] = memo
         return memo
 
     def point(self, i: int) -> tuple[int, ...]:

@@ -26,7 +26,9 @@ def _canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class Partition:
-    """A set partition of [n] in canonical form (blocks sorted by minimum)."""
+    """A set partition of [n] in canonical form (blocks sorted by minimum,
+    each one increasing).  The constructor trusts its arguments to be in
+    that form; from_blocks puts any blocks in it and checks them."""
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
@@ -59,7 +61,9 @@ class Partition:
         return tuple(sorted(arcs))
 
     def to_text(self) -> str:
-        return "".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
+        if not self.blocks:
+            return ""
+        return "{" + "}{".join([",".join(map(str, b)) for b in self.blocks]) + "}"
 
     def arcs_text(self) -> str:
         return " ".join(f"({i},{j})" for i, j in self.arcs)

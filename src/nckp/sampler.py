@@ -16,11 +16,15 @@ and Van Cutsem, with its meet-in-the-middle split).  The walk is the first
 half followed by the second one reversed, each step inverted.  So unrank
 is a bijection from [0, total) onto the complete walks, every walk has
 probability exactly 1/total, and a draw uses one uniform_below.  Plain
-mode samples partition walks; regular mode samples loop-free braid walks
-a vertex (add, remove) at a time and maps them back to 2-regular
-partitions.  The count table needs only the lengths up to h, and any table
-that holds them serves the session.  The unranking reads each weight
-straight from the table's storage, one row of ints per point id
+mode samples partition walks a step at a time; regular mode samples
+loop-free braid walks a vertex (add, remove) at a time.  Both run one
+loop over moves the table memoises per point id: its moves() memo in
+plain mode, its vertices() memo in regular mode.  A regular walk with a
+do-nothing step added on either side is the partition walk of its
+2-regular partition (bijection.py), so both modes decode a partition walk
+the same way.  The count table needs only the lengths up to h, and any
+table that holds them serves the session.  The unranking reads each
+weight straight from the table's storage, one row of ints per point id
 (counting._PackedTable; its tiles of lengths are only the serialisation
 that cache digests hash), and a half walks back along a few points, so
 its reads stay on their rows.
@@ -30,7 +34,8 @@ transition weights on shapes, as a reference; they read full-length
 tables of their own, never the session's.
 
 A drawn walk takes only moves the table lists, so it is legal by
-construction and is decoded without walks.validate_walk.  What the draw
+construction and is decoded without walks.validate_walk or any check of
+its blocks (decode_partition with validate=False).  What the draw
 does check, with InvariantError rather than assert, is what only a wrong
 table could break: that the total is positive, that a rank falls inside
 some move at every length, and that each half ends on the start point.
@@ -45,9 +50,14 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
-from .bijection import braid_to_partition, decode_braid, decode_partition
+# `perfbench/run.py --trace 1` times the decode and the walk primitives by
+# wrapping them where this module looks them up: the draw calls
+# decode_partition, and the transition weights below call the walk
+# functions.  It wraps decode_braid and braid_to_partition too, which no
+# draw calls, so every one of these names must stay importable from here.
+from .bijection import braid_to_partition, decode_braid, decode_partition  # noqa: F401
 from .counting import (
     InvariantError,
     _table_class,
@@ -177,31 +187,43 @@ class SamplerSession:
             walk = Walk(PARTITION_WALK, self.k, tuple(steps))
             return walk, decode_partition(walk, validate=False)
         walk = Walk(BRAID_WALK, self.k, tuple(steps))
-        if self.n == 0:
+        if self.n == 0:  # padding would give the partition of [1]
             return walk, Partition.from_blocks(0, [])
-        return walk, braid_to_partition(decode_braid(walk, validate=False))
+        # the braid walk with a do-nothing step on either side is the
+        # partition walk of the same partition (bijection.py)
+        padded = Walk(PARTITION_WALK, self.k, (0, *steps, 0))
+        return walk, decode_partition(padded, validate=False)
 
     def _half(self, cur: int, length: int, rank: int, second: bool) -> list[int]:
         """The walk of the given rank among those of `length` steps from
         the start point to point id `cur`, found backwards and returned as
         the step codes that undo it, last step first: at each length the
         rank picks one of the moves back out of the current point, each
-        weighted by the walks that reach its target.  `second` tells which
-        half this is, for naming positions in the whole walk."""
+        weighted by the walks that reach its target.  A move is one step in
+        plain mode and one loop-free braid vertex, two steps, in regular
+        mode; both come from the table's memos, read inline, and only near
+        the table's edge through the cut of moves() or vertices().
+        `second` tells which half this is, for naming positions in the
+        whole walk."""
         table = self.table
         rows, first, sizes = table._rows, table._first, table._sizes
         plain = self.mode == "plain"
-        codes: list[int] = []
-        for s in range(length, 0, -1 if plain else -2):
-            t = s - (1 if plain else 2)
-            if plain:  # table.moves(cur, t, adding), its memo read inline
-                adding = s % 2 == 1
-                found, last = (table._moves[adding][cur]
+        moves, vertices = table._moves, table._vertices
+        width = 1 if plain else 2
+        backs = []
+        for s in range(length, 0, -width):
+            t = s - width
+            if plain:
+                adding = s & 1
+                found, last = (moves[adding][cur]
                                or table._make_moves(cur, adding, False))
                 if last >= sizes[t]:  # some target lies past slice t
                     found = table.moves(cur, t, adding)
             else:
-                found = self._back_vertices(cur, s)
+                found, last, last_mid, _ = (vertices[cur]
+                                            or table._make_vertices(cur))
+                if last >= sizes[t] or last_mid >= sizes[s - 1]:
+                    found = table.vertices(cur, s)
             # every target is held by slice t, so t >= first[prev]
             for back, prev in found:
                 weight = rows[prev][t - first[prev]]
@@ -213,25 +235,12 @@ class SamplerSession:
                     self.walk_len - s if second else s, cur,
                     "candidate weights sum below the stored total"
                     f" {table.lookup(cur, s)}")
-            if plain:
-                codes.append(back)
-            else:
-                codes += back
+            backs.append(back)
             cur = prev
         if cur != table.start_id:
             raise self._inconsistent(self.walk_len if second else 0, cur,
                                      "the walk does not end on the start point")
-        return codes
-
-    def _back_vertices(self, cur: int, s: int):
-        """((undo remove, undo add), origin) of each loop-free braid vertex
-        that ends on point id `cur` at length s: undo the remove with an
-        add, then the add with a remove; after add(1) undid remove(1), no
-        remove(1) may undo add(1), since that vertex would be a loop."""
-        moves = self.table.moves
-        for undo_remove, mid in moves(cur, s - 1, True):
-            for undo_add, prev in moves(mid, s - 2, False, undo_remove == 1):
-                yield (undo_remove, undo_add), prev
+        return backs if plain else list(chain.from_iterable(backs))
 
     def _inconsistent(self, i: int, cur: int, problem: str) -> InvariantError:
         return InvariantError(

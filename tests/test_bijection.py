@@ -195,15 +195,49 @@ def test_round_trips_exhaustive():
 
 
 def test_two_routes_from_braid_walk_agree():
-    # decode-then-shift must match reindex-then-decode
-    for n in range(0, 6):
-        for w in _complete_walks(3, n, BRAID_WALK):
-            via_braid = braid_to_partition(decode_braid(w))
-            pwalk = braid_walk_to_partition_walk(w)
-            via_partition = decode_partition(
-                Walk(PARTITION_WALK, 3, pwalk.steps + (0,))
-            )
-            assert via_braid == via_partition
+    # decode-then-shift must match reindex-then-decode; the sampler decodes
+    # every regular draw by the second route, unchecked
+    for k in (3, 4, 5):
+        for n in range(0, 6):
+            for w in _complete_walks(k, n, BRAID_WALK):
+                via_braid = braid_to_partition(decode_braid(w))
+                pwalk = braid_walk_to_partition_walk(w)
+                padded = Walk(PARTITION_WALK, k, pwalk.steps + (0,))
+                assert padded.steps == (0, *w.steps, 0)
+                assert via_braid == decode_partition(padded)
+                assert via_braid == decode_partition(padded, validate=False)
+
+
+def _same_partition(fast, checked):
+    assert fast == checked
+    assert fast.to_text() == checked.to_text()
+    assert hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked)
+
+
+def test_trusted_decode_equals_the_checked_one():
+    """decode_partition(validate=False) builds its blocks without
+    blocks_from_arcs or Partition.from_blocks: it must give the partition
+    they give, on every small walk and on sampled walks of both modes."""
+    from nckp.bijection import _decode
+    from nckp.diagrams import blocks_from_arcs
+    from nckp.oracle import complete_partition_walks
+    from nckp.sampler import SamplerSession
+
+    for k in (2, 3, 4, 5):
+        for n in range(7):
+            for w in complete_partition_walks(k, n):
+                _same_partition(decode_partition(w, validate=False),
+                                blocks_from_arcs(n, _decode(w.steps, "remove")))
+    session = SamplerSession(3, 120, "plain", seed=8)
+    for _ in range(300):
+        w, p = session.draw()
+        _same_partition(p, blocks_from_arcs(120, _decode(w.steps, "remove")))
+    for k, n in ((3, 52), (4, 30), (5, 24)):
+        session = SamplerSession(k, n, "regular", seed=8)
+        for _ in range(300):
+            w, p = session.draw()
+            _same_partition(p, braid_to_partition(decode_braid(w)))
 
 
 def test_filling_invariants_along_random_decodes():

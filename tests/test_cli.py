@@ -65,6 +65,23 @@ def test_sample_formats(capsys):
         "--seed", "1", "--format", "arcs",
     )
     assert code == 0 and len(out.splitlines()) == 2
+    # the three formats print the same stream of partitions
+    from nckp.diagrams import parse_blocks_text
+
+    lines = {}
+    for fmt in ("blocks", "arcs", "json"):
+        code, lines[fmt], _ = run(
+            capsys, "sample", "--k", "3", "--n", "7", "--count", "6",
+            "--seed", "2", "--format", fmt,
+        )
+        assert code == 0
+    for blocks, arcs, obj in zip(*(lines[f].splitlines()
+                                   for f in ("blocks", "arcs", "json")),
+                                 strict=True):
+        p = parse_blocks_text(blocks)
+        assert arcs == p.arcs_text()
+        assert obj == json.dumps({"n": 7, "blocks": [list(b) for b in p.blocks]},
+                                 separators=(",", ":"))
 
 
 def test_sample_regular_flag(capsys):

@@ -393,6 +393,34 @@ def test_lookup_on_prefixes_that_are_not_monotone():
     assert doctored.lookup(last, 15) == 0 < doctored.lookup(last, 16)
 
 
+def test_vertices_are_the_moves_of_a_loop_free_vertex():
+    """vertices(i, s), memoised whole and cut near the table's edge, lists
+    the braid vertices moves() composes: undo a remove onto slice s-1, then
+    an add onto slice s-2, with no remove(1) after add(1).  The last table
+    is doctored so that slice 0 holds ids 0 and 1 but slice 1 only id 0:
+    vertex (add 1, stay) into the start point then has its origin in
+    slice 0 but not its middle point in slice 1, and must be cut."""
+    tables = [LoopFreeTable.build(k, max_len)
+              for k, max_len in ((3, 14), (4, 12), (5, 10))]
+    table = LoopFreeTable.build(3, 8)
+    slices = [{table._pack(v): c for v, c in table.slice_items(s)}
+              for s in range(9)]
+    slices[0] = {table._pack((1, 0)): 1, table._pack((2, 0)): 1}
+    slices[1] = {table._pack((1, 0)): 1}
+    doctored = LoopFreeTable(3, 8, slices)
+    assert doctored.vertices(doctored.start_id, 2) == (((0, 0), 0),)
+    tables.append(doctored)
+    for table in tables:
+        for s in range(2, table.max_len + 1):
+            for i in range(len(table._keys)):
+                assert table.vertices(i, s) == tuple(
+                    ((undo_remove, undo_add), prev)
+                    for undo_remove, mid in table.moves(i, s - 1, True)
+                    for undo_add, prev in table.moves(mid, s - 2, False,
+                                                      undo_remove == 1)
+                ), (table.k, i, s)
+
+
 def test_moves_drop_points_the_slice_cannot_hold():
     table = ChamberTable.build(3, 6)
     start = table.start_id

@@ -142,5 +142,6 @@ def test_text_forms():
     assert parse_blocks_text(p.to_text()) == p
     empty = parse_blocks_text("")
     assert empty.n == 0 and empty.blocks == ()
+    assert empty.to_text() == "" and empty.arcs_text() == ""
     with pytest.raises(ValueError):
         parse_blocks_text("{1,5}{2}")  # elements 3 and 4 missing

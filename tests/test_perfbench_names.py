@@ -49,3 +49,24 @@ def test_loop_free_build_is_timed_as_a_chamber_build(monkeypatch):
         tracer.restore()
     assert len(tracer.durations["counting.ChamberTable.build"]) == 1
     assert len(tracer.durations["counting.LoopFreeTable.build"]) == 1
+
+
+def test_traced_sample_decodes_and_formats_through_the_wrapped_names(
+        monkeypatch, capsys):
+    """`bijection.decode_s` and `cli.format_s` sum the wrappers of
+    sampler.decode_partition and Partition.to_text: every sampled line of
+    either mode must go through both, or those metrics read 0."""
+    from nckp import cli
+
+    run, Tracer = _load_run(monkeypatch)
+    for extra in ([], ["--regular"]):
+        tracer = Tracer()
+        try:
+            run.install(tracer)
+            assert cli.main(["sample", "--k", "3", "--n", "9", "--count", "5",
+                             *extra]) == 0
+        finally:
+            tracer.restore()
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert tracer.calls("bijection.decode_partition") == 5, extra
+        assert tracer.calls("diagrams.Partition.to_text") == 5, extra
