@@ -24,11 +24,13 @@ either side is a complete partition walk of length 2n, and it decodes to
 the partition of [n] that braid_to_partition(decode_braid(walk)) gives;
 the sampler decodes its regular draws by this padded route.
 
-decode_partition(walk, validate=False) trusts the walk to be legal: it
-runs the insertion engine into an array of right endpoints and builds the
-canonical blocks directly, with none of the checks of validate_walk,
-blocks_from_arcs and Partition.from_blocks.  Every other function here
-checks its input.
+decode_partition runs the insertion engine into an array of right
+endpoints and builds the canonical blocks directly, with none of the
+checks of blocks_from_arcs and Partition.from_blocks: a walk that passes
+validate_walk always decodes to a partition, so those checks would only
+repeat it.  validate=False skips validate_walk too and trusts the walk to
+be legal, as the sampler's draws are.  Every other function here checks
+its input.
 """
 
 from __future__ import annotations
@@ -119,8 +121,9 @@ class Filling:
 def _decode(steps: tuple[int, ...], first: str) -> list[tuple[int, int]]:
     """Run the insertion engine over per-vertex step pairs.
 
-    first="remove" is the partition order, first="add" the braid order.
-    Returns the arcs (partner, vertex).
+    first="remove" is the partition order, whose arcs blocks_from_arcs
+    turns into the reference decode_partition is tested against;
+    first="add" is the braid order.  Returns the arcs (partner, vertex).
     """
     filling = Filling()
     arcs = []
@@ -140,10 +143,10 @@ def _decode(steps: tuple[int, ...], first: str) -> list[tuple[int, int]]:
 
 
 def _trusted_blocks(steps: tuple[int, ...], k: int) -> Partition:
-    """The partition of a complete partition walk that is legal by
-    construction: the insertion engine of _decode run into a right_of
-    array, whose blocks are read off in canonical order (by minimum, each
-    one increasing), so the Partition is built without a check."""
+    """The partition of a legal complete partition walk: the insertion
+    engine of _decode run into a right_of array, whose blocks are read off
+    in canonical order (by minimum, each one increasing), so the Partition
+    is built without a check."""
     n = len(steps) // 2
     rows: list[list[int]] = [[] for _ in range(k - 1)]
     right_of = [0] * (n + 1)  # vertex -> its arc's right endpoint, or 0
@@ -176,22 +179,17 @@ def _trusted_blocks(steps: tuple[int, ...], k: int) -> Partition:
 
 
 def decode_partition(walk: Walk, *, validate: bool = True) -> Partition:
-    """Decode a complete partition walk of length 2n into its partition.
-    validate=False skips validate_walk and every check of the arcs and
-    blocks, for walks legal by construction (a sampler's draws): the
-    canonical blocks are built directly.  An illegal walk then decodes to
-    garbage."""
+    """Decode a complete partition walk of length 2n into its partition,
+    building the canonical blocks directly.  validate=False skips
+    validate_walk, for walks legal by construction (a sampler's draws); an
+    illegal walk then decodes to garbage."""
     if walk.kind != PARTITION_WALK:
         raise ValueError(f"expected a partition walk, got kind {walk.kind!r}")
     if validate:
         validate_walk(walk, complete=True)
     if len(walk.steps) % 2:
         raise WalkError(len(walk.steps), "complete walk must have even length")
-    if not validate:
-        return _trusted_blocks(walk.steps, walk.k)
-    n = len(walk.steps) // 2
-    arcs = _decode(walk.steps, "remove")
-    return blocks_from_arcs(n, arcs)
+    return _trusted_blocks(walk.steps, walk.k)
 
 
 def decode_braid(walk: Walk, *, validate: bool = True) -> Braid:

@@ -41,9 +41,9 @@ id, so that a row's counts of one tile lie side by side in memory.  The
 same tiles, with the counts interleaved by id as big-endian bytes, are
 the serialisation digest() hashes, which caches pin.  A sampler
 reads a table by id: moves() lists the (step, target id) pairs out of one
-point, made once from the DP's step primitive, vertices() the loop-free
-braid vertices (two moves) into one point, made once from moves(), and
-lookup() reads a count, so the build and the draw share one step rule.
+point, made once from the DP's step primitive, a LoopFreeTable's
+vertices() the loop-free braid vertices (two moves) into one point, made
+once from moves(), and lookup() reads a count, so the build and the draw share one step rule.
 The draw's inner loop reads the rows and the two memos directly, to save
 a call per candidate.
 
@@ -261,10 +261,10 @@ class _PackedTable:
     is the first length whose prefix holds i, and a 0 at any length whose
     prefix does not.  A draw walks along a few points, reading each one's
     row at lengths s, s-1, ..., so its reads stay on those rows.  Built
-    once, immutable afterwards (but for the moves() and vertices() memos,
-    which only grow) and safe to share, memos included.  count() takes a
-    point and checks it; moves(), vertices() and lookup() take point ids
-    and do not check.
+    once, immutable afterwards (but for the moves() memo, which only grows,
+    and a LoopFreeTable's vertices() memo) and safe to share, memos
+    included.  count() takes a point and checks it; moves(), vertices()
+    and lookup() take point ids and do not check.
     """
 
     braid = False
@@ -305,7 +305,6 @@ class _PackedTable:
         self._rows: list[tuple[int, ...]] = rows
         # _make_moves memo, by adding + 2 * after_top, then id
         self._moves = [[None] * len(self._keys) for _ in range(4)]
-        self._vertices = [None] * len(self._keys)  # _make_vertices memo, by id
         self._step_codes = {0: 0}
         for i, sh in enumerate(self._shifts):
             self._step_codes.update({1 << sh: i + 1, -(1 << sh): -i - 1})
@@ -456,6 +455,44 @@ class _PackedTable:
         self._moves[adding + 2 * after_top][i] = memo
         return memo
 
+    def point(self, i: int) -> tuple[int, ...]:
+        return self._unpack(self._keys[i])
+
+    def point_id(self, v: tuple[int, ...]) -> int:
+        """The id of a chamber point that some slice can hold."""
+        return self._ids[self._pack(v)]
+
+
+class ChamberTable(_PackedTable):
+    """Chamber-confined partition-walk counts for all endpoints and lengths."""
+
+    count = _PackedTable.count  # own attribute, so it can be wrapped per class
+
+    @classmethod
+    def build(cls, k: int, max_len: int, *, loop_free: bool = False):
+        """Run the chamber DP.  With loop_free=True the same engine counts
+        loop-free braid walks and returns a LoopFreeTable; that is what
+        LoopFreeTable.build does."""
+        min_k = 3 if loop_free else 2
+        if k < min_k:
+            raise ValueError(f"k must be >= {min_k}, got {k}")
+        _check_size(k, max_len, loop_free)
+        table_cls = LoopFreeTable if loop_free else ChamberTable
+        return table_cls(k, max_len, _walk_slices(k, max_len, loop_free))
+
+
+class LoopFreeTable(_PackedTable):
+    """Loop-free braid-walk counts for all endpoints and lengths <= walk_len.
+    Besides the moves() memo it keeps the vertices() memo, which likewise
+    only grows."""
+
+    braid = True
+    count = _PackedTable.count
+
+    def __init__(self, k: int, max_len: int, slices):
+        super().__init__(k, max_len, slices)
+        self._vertices = [None] * len(self._keys)  # _make_vertices memo, by id
+
     def vertices(self, i: int, s: int):
         """((undo remove, undo add), origin id) of each loop-free braid
         vertex that ends on point id i after s steps, in the step order of
@@ -490,38 +527,6 @@ class _PackedTable:
                 triples)
         self._vertices[i] = memo
         return memo
-
-    def point(self, i: int) -> tuple[int, ...]:
-        return self._unpack(self._keys[i])
-
-    def point_id(self, v: tuple[int, ...]) -> int:
-        """The id of a chamber point that some slice can hold."""
-        return self._ids[self._pack(v)]
-
-
-class ChamberTable(_PackedTable):
-    """Chamber-confined partition-walk counts for all endpoints and lengths."""
-
-    count = _PackedTable.count  # own attribute, so it can be wrapped per class
-
-    @classmethod
-    def build(cls, k: int, max_len: int, *, loop_free: bool = False):
-        """Run the chamber DP.  With loop_free=True the same engine counts
-        loop-free braid walks and returns a LoopFreeTable; that is what
-        LoopFreeTable.build does."""
-        min_k = 3 if loop_free else 2
-        if k < min_k:
-            raise ValueError(f"k must be >= {min_k}, got {k}")
-        _check_size(k, max_len, loop_free)
-        table_cls = LoopFreeTable if loop_free else ChamberTable
-        return table_cls(k, max_len, _walk_slices(k, max_len, loop_free))
-
-
-class LoopFreeTable(_PackedTable):
-    """Loop-free braid-walk counts for all endpoints and lengths <= walk_len."""
-
-    braid = True
-    count = _PackedTable.count
 
     @classmethod
     def build(cls, k: int, walk_len: int) -> "LoopFreeTable":

@@ -208,7 +208,10 @@ class SamplerSession:
         table = self.table
         rows, first, sizes = table._rows, table._first, table._sizes
         plain = self.mode == "plain"
-        moves, vertices = table._moves, table._vertices
+        if plain:
+            moves = table._moves
+        else:
+            vertices = table._vertices
         width = 1 if plain else 2
         backs = []
         for s in range(length, 0, -width):

@@ -216,9 +216,10 @@ def _same_partition(fast, checked):
 
 
 def test_trusted_decode_equals_the_checked_one():
-    """decode_partition(validate=False) builds its blocks without
-    blocks_from_arcs or Partition.from_blocks: it must give the partition
-    they give, on every small walk and on sampled walks of both modes."""
+    """decode_partition builds its blocks without blocks_from_arcs or
+    Partition.from_blocks: with or without validate_walk it must give the
+    partition they give to the arcs of _decode, on every small walk and on
+    sampled walks of both modes."""
     from nckp.bijection import _decode
     from nckp.diagrams import blocks_from_arcs
     from nckp.oracle import complete_partition_walks
@@ -227,8 +228,9 @@ def test_trusted_decode_equals_the_checked_one():
     for k in (2, 3, 4, 5):
         for n in range(7):
             for w in complete_partition_walks(k, n):
-                _same_partition(decode_partition(w, validate=False),
-                                blocks_from_arcs(n, _decode(w.steps, "remove")))
+                checked = blocks_from_arcs(n, _decode(w.steps, "remove"))
+                _same_partition(decode_partition(w, validate=False), checked)
+                _same_partition(decode_partition(w), checked)
     session = SamplerSession(3, 120, "plain", seed=8)
     for _ in range(300):
         w, p = session.draw()
