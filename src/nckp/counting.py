@@ -9,12 +9,21 @@ W = {v : v_1 > v_2 > ... > v_{k-1} >= 0}:
 * LoopFreeTable     counts of braid walks with no loop vertex (no vertex
                     that adds a box to row 1 and removes it again).
 
-The DP runs on packed integer keys.  A step from a point is legal when the
-point it reaches is still strictly decreasing and >= 0; nothing is ever
-counted outside the chamber, so no signed cancellation is needed.  For
-loop-free walks the state after an odd (add) step also records whether
-that step added to row 1, and the following remove(1) is then skipped.
-All counts are exact Python ints; no floating point is involved anywhere.
+Both tables, and the totals, number their chamber points once, in graded
+order: by box count, then by packed key, so the start point is id 0.  The
+step primitive is a pair of neighbour arrays over those ids: up[i][d] and
+down[i][d] are the ids of d + e_i and d - e_i, or a sentinel N when that
+point leaves the chamber (stops being strictly decreasing and >= 0) or
+the numbering.  Every point with at most _box_bound(s) boxes has a walk
+of length s (add its boxes, then stay), and no other point has one, so
+slice s is a list over the id prefix [0, N_s).  The DP is in gather
+form: each id of slice s sums the counts of slice s-1 at the sources of
+the steps into it, read through the neighbour arrays from a copy of
+slice s-1 padded with zeros up to the sentinel, so nothing is counted
+outside the chamber and no signed cancellation is needed.  Loop-free
+walks also keep, on odd (add) slices, the walks whose last step did not
+add to row 1: only those may remove from row 1 next.  All counts are
+exact Python ints; no floating point is involved anywhere.
 
 A complete walk of length S is cut at its midpoint: after m steps it sits
 at some point v, and its last S - m steps, reversed and inverted, are a
@@ -25,25 +34,21 @@ where f counts walks from the start point (half_lengths gives m and
 S - m; the cut falls on a vertex boundary for braid walks).  So counting
 and sampling need only a table of length S - m <= S/2 + 1, and one such
 table serves every shorter walk too.  total_partitions and total_regular
-keep just the last DP slices and build no table at all.
+keep just the last DP slices and build no rows at all.
 
-Both tables number their chamber points once, in graded order: by box
-count, then by packed key, so the start point is id 0.  Every point with
-at most _box_bound(s) boxes has a walk of length s (add its boxes, then
-stay), so a slice's support is the id prefix [0, N_s); the constructor
-checks this (InvariantError otherwise) and stores the counts densely by
-id, in one row of Python ints per point: row i holds the counts of id i
-at every length from the first whose prefix holds i to max_len, so a
-lookup is two list reads, and a draw, which reads lengths s, s-1, ... of
-the few points it walks along, stays on their rows.  The rows grow a tile
-of TILE lengths at a time, by fresh copies of the DP's counts made id by
-id, so that a row's counts of one tile lie side by side in memory.  The
-same tiles, with the counts interleaved by id as big-endian bytes, are
-the serialisation digest() hashes, which caches pin.  A sampler
-reads a table by id: moves() lists the (step, target id) pairs out of one
-point, made once from the DP's step primitive, a LoopFreeTable's
-vertices() the loop-free braid vertices (two moves) into one point, made
-once from moves(), and lookup() reads a count, so the build and the draw share one step rule.
+A table stores the counts densely by id, in one row of Python ints per
+point: row i holds the counts of id i at every length from the first
+whose prefix holds i to max_len, so a lookup is two list reads, and a
+draw, which reads lengths s, s-1, ... of the few points it walks along,
+stays on their rows.  The rows grow a tile of TILE lengths at a time, by
+fresh copies of the DP's counts made id by id, so that a row's counts of
+one tile lie side by side in memory.  The same tiles, with the counts
+interleaved by id as big-endian bytes, are the serialisation digest()
+hashes, which caches pin.  A sampler reads a table by id: moves() lists
+the (step, target id) pairs out of one point, made once from the
+neighbour arrays, a LoopFreeTable's vertices() the loop-free braid
+vertices (two moves) into one point, made once from moves(), and
+lookup() reads a count, so the build and the draw share one step rule.
 The draw's inner loop reads the rows and the two memos directly, to save
 a call per candidate.
 
@@ -60,7 +65,7 @@ cross-checks of these tables.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import accumulate, chain, islice, repeat, zip_longest
 from math import factorial
@@ -72,9 +77,9 @@ class TableLimitError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """Counts contradict each other: a negative signed sum, a slice whose
-    points are not a graded prefix, candidate weights that fall short of
-    the stored total, or a draw that does not end on the start point."""
+    """Counts contradict each other: a negative signed sum, candidate
+    weights that fall short of the stored total, or a draw that does not
+    end on the start point."""
 
 
 # ---------------------------------------------------------------------------
@@ -170,68 +175,78 @@ def half_lengths(walk_len: int, braid: bool) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# the step primitive
+# the step primitive and the DP engine
 # ---------------------------------------------------------------------------
 
-def _advance(prev: dict, out: dict, shifts, mask: int, adding: bool, rows,
-             stay: bool) -> None:
-    """Add to `out` (packed point -> count) every legal one-step move out
-    of the points of `prev`.
-
-    The moves are the do-nothing step (when `stay`) and an add or remove
-    on each 0-based coordinate in `rows`.  A move is legal when the point
-    it reaches is still strictly decreasing and >= 0.
-    """
-    get = out.get
-    last = len(shifts) - 1
-    ones = [1 << sh for sh in shifts]
-    for key, val in prev.items():
-        c = [(key >> sh) & mask for sh in shifts]
-        if stay:
-            out[key] = get(key, 0) + val
-        if adding:
-            for i in rows:
-                if i == 0 or c[i - 1] - c[i] > 1:
-                    q = key + ones[i]
-                    out[q] = get(q, 0) + val
-        else:
-            for i in rows:
-                if c[i] > (c[i + 1] + 1 if i < last else 0):
-                    q = key - ones[i]
-                    out[q] = get(q, 0) + val
-
-
-def _walk_slices(k: int, max_len: int, loop_free: bool):
-    """Yield, for s = 0..max_len, packed point -> number of walks of length
-    s from the start point.  Partition walks remove on odd steps and add on
-    even ones; loop-free braid walks add on odd steps, remove on even ones,
-    and never remove from row 1 right after adding to it."""
+def _grade(k: int, max_len: int, braid: bool):
+    """Number the chamber points of a table of max_len by box count, then
+    packed key, and return (keys, ends, up, down): keys[d] is the packed
+    point of id d, ends[b] the number of ids holding at most b boxes, and
+    up[i][d] (down[i][d]) the id of d + e_i (d - e_i), or the sentinel
+    N = len(keys) when that point lies outside the chamber or past the
+    numbering.  The DP, moves() and vertices() read only these arrays."""
     bits = _coord_bits(k, max_len)
     pack, _, shifts = _packer(k, bits)
     mask = (1 << bits) - 1
-    every = range(k - 1)
-    lower = range(1, k - 1)
-    cur = {pack(start_point(k)): 1}
-    top: dict = {}  # loop-free states whose last step added to row 1
+    ones = [1 << sh for sh in shifts]
+    keys = [pack(start_point(k))]
+    ends = [1]
+    level = keys
+    for _ in range(_box_bound(max_len, braid)):
+        nxt = set()
+        for key in level:  # add(i) keeps v_{i-1} > v_i
+            c = [(key >> sh) & mask for sh in shifts]
+            nxt.update(key + ones[i] for i in range(k - 1)
+                       if i == 0 or c[i - 1] - c[i] > 1)
+        level = sorted(nxt)
+        keys += level
+        ends.append(len(keys))
+    n = len(keys)
+    ids = dict(zip(keys, range(n)))
+    # Coordinates stay below mask // 2 + 1: an add never carries, and a
+    # borrow out of a 0 leaves a coordinate of mask, which no id holds.
+    up = [list(map(ids.get, map(add, keys, repeat(one)), repeat(n)))
+          for one in ones]
+    down = [list(map(ids.get, map(sub, keys, repeat(one)), repeat(n)))
+            for one in ones]
+    return keys, ends, up, down
+
+
+def _gather(src: list, n: int, terms) -> list:
+    """src[:n] plus, for each (pred, row) of `terms`, `row` (padded with
+    zeros up to the sentinel) read at pred[:n]: one step's counts by id."""
+    out = islice(src, n)
+    for pred, row in terms:  # the first map stops the others after n ids
+        out = map(add, out, map(row.__getitem__, pred))
+    return list(out)
+
+
+def _walk_counts(k: int, max_len: int, loop_free: bool, ends, up, down):
+    """Yield, for s = 0..max_len, the number of walks of length s from the
+    start point to each id below N_s = ends[_box_bound(s)], by id; every
+    other id has none.  Partition walks remove on odd steps and add on
+    even ones; loop-free braid walks add on odd steps, remove on even
+    ones, and never remove from row 1 right after adding to it.  Only the
+    last slice, and the last odd one's walks that did not end adding to
+    row 1 (`low`), stay alive here."""
+    zeros = [0] * (len(up[0]) + 1)
+    every, lower = range(k - 1), range(1, k - 1)
+    cur = [1]
     yield cur
     for s in range(1, max_len + 1):
-        nxt: dict = {}
+        n = ends[_box_bound(s, loop_free)]
+        src = cur + zeros[len(cur):]
         if not loop_free:
-            _advance(cur, nxt, shifts, mask, s % 2 == 0, every, True)
-            counts = nxt
+            pred = up if s % 2 else down
+            cur = _gather(src, n, [(pred[i], src) for i in every])
         elif s % 2:
-            top = {}
-            _advance(cur, nxt, shifts, mask, True, lower, True)
-            _advance(cur, top, shifts, mask, True, (0,), False)
-            counts = dict(nxt)
-            for key, val in top.items():
-                counts[key] = counts.get(key, 0) + val
+            low = _gather(src, n, [(down[i], src) for i in lower])
+            cur = _gather(low, n, [(down[0], src)])
+            low += zeros[n:]
         else:
-            _advance(cur, nxt, shifts, mask, False, every, True)
-            _advance(top, nxt, shifts, mask, False, lower, True)
-            counts = nxt
-        cur = nxt
-        yield counts
+            cur = _gather(src, n, [(up[i], src) for i in lower]
+                          + [(up[0], low)])
+        yield cur
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +285,23 @@ class _PackedTable:
     braid = False
     start_id = 0  # the graded order puts the start point, with 0 boxes, first
 
-    def __init__(self, k: int, max_len: int, slices):
-        """`slices` yields one {packed point: count} dict per length, whose
-        points must be a graded prefix (InvariantError otherwise)."""
+    def __init__(self, k: int, max_len: int, slices=None):
+        """`slices` yields the counts of each length by id, each a list
+        over a prefix of the ids; None runs the DP."""
         self.k = k
         self.max_len = max_len
-        bits = _coord_bits(k, max_len)
-        self._pack, self._unpack, self._shifts = _packer(k, bits)
-        self._mask = (1 << bits) - 1
+        self._pack, self._unpack, _ = _packer(k, _coord_bits(k, max_len))
         self._base = sum(start_point(k))
-        level = {self._pack(start_point(k)): 1}
-        self._keys = list(level)  # id -> packed point, by boxes, then key
-        for _ in range(_box_bound(max_len, self.braid)):
-            nxt: dict = {}
-            _advance(level, nxt, self._shifts, self._mask, True, range(k - 1),
-                     False)
-            self._keys += sorted(nxt)
-            level = nxt
-        self._ids = {key: i for i, key in enumerate(self._keys)}
+        self._keys, self._ends, self._up, self._down = _grade(
+            k, max_len, self.braid)
+        if slices is None:
+            slices = _walk_counts(k, max_len, self.braid, self._ends,
+                                  self._up, self._down)
         self._sizes: list[int] = []  # length -> ids its prefix holds
         self._first: list[int] = []  # id -> first length whose prefix holds it
         rows: list = []  # id -> counts from _first[id] on
-        dense = (self._dense(s, sl) for s, sl in enumerate(slices))
-        while cols := list(islice(dense, TILE)):  # a tile at a time
+        slices = iter(slices)
+        while cols := list(islice(slices, TILE)):  # a tile at a time
             self._extend_rows(rows, cols)
         missing = len(self._keys) - len(rows)  # ids no slice holds
         rows += ([] for _ in range(missing))
@@ -305,9 +314,6 @@ class _PackedTable:
         self._rows: list[tuple[int, ...]] = rows
         # _make_moves memo, by adding + 2 * after_top, then id
         self._moves = [[None] * len(self._keys) for _ in range(4)]
-        self._step_codes = {0: 0}
-        for i, sh in enumerate(self._shifts):
-            self._step_codes.update({1 << sh: i + 1, -(1 << sh): -i - 1})
 
     def _extend_rows(self, rows: list, cols: list) -> None:
         """Append the next lengths, `cols` holding each one's counts by id,
@@ -332,19 +338,6 @@ class _PackedTable:
         starts = list(map(bisect_right, repeat(reach), range(old, reach[-1])))
         rows += map(list, map(getitem, by_id, map(slice, starts, repeat(None))))
         self._first += map(add, repeat(lo), starts)
-
-    def _dense(self, s: int, entries: dict) -> list[int]:
-        """The counts of a slice by id; its points must be ids
-        0..len(entries)-1."""
-        n = len(entries)
-        try:
-            if n > len(self._keys):
-                raise KeyError
-            vals = list(map(entries.__getitem__, islice(self._keys, n)))
-        except KeyError:
-            raise InvariantError(
-                f"the points of length {s} are not a graded prefix") from None
-        return vals
 
     def _column(self, s: int) -> list[int]:
         """The counts at length s of the ids its prefix holds, by id."""
@@ -444,14 +437,13 @@ class _PackedTable:
 
     def _make_moves(self, i: int, adding: bool, after_top: bool):
         """Fill and return _moves[adding + 2 * after_top][i]: the moves out
-        of id i by the DP's step primitive, and the largest target id (-1
-        when there is none), which tells moves() whether to cut them."""
-        key, out, ids = self._keys[i], {}, self._ids
-        _advance({key: 1}, out, self._shifts, self._mask, adding,
-                 range(after_top, self.k - 1), True)
-        found = tuple((self._step_codes[q - key], ids[q])
-                      for q in out if q in ids)
-        memo = (found, max((t for _, t in found), default=-1))
+        of id i read from the neighbour arrays, the do-nothing step first,
+        and the largest target id, which tells moves() whether to cut them."""
+        near, sign = (self._up, 1) if adding else (self._down, -1)
+        found = ((0, i),) + tuple((sign * (r + 1), near[r][i])
+                                  for r in range(after_top, self.k - 1)
+                                  if near[r][i] < len(self._keys))
+        memo = (found, max(t for _, t in found))
         self._moves[adding + 2 * after_top][i] = memo
         return memo
 
@@ -459,8 +451,14 @@ class _PackedTable:
         return self._unpack(self._keys[i])
 
     def point_id(self, v: tuple[int, ...]) -> int:
-        """The id of a chamber point that some slice can hold."""
-        return self._ids[self._pack(v)]
+        """The id of a chamber point that some slice can hold, found among
+        the ids of its box count, which hold their points in key order."""
+        boxes, key, ends = sum(v) - self._base, self._pack(v), self._ends
+        i = bisect_left(self._keys, key, ends[boxes - 1] if boxes else 0,
+                        ends[boxes])
+        if self._keys[i:i + 1] != [key]:
+            raise KeyError(v)
+        return i
 
 
 class ChamberTable(_PackedTable):
@@ -478,7 +476,7 @@ class ChamberTable(_PackedTable):
             raise ValueError(f"k must be >= {min_k}, got {k}")
         _check_size(k, max_len, loop_free)
         table_cls = LoopFreeTable if loop_free else ChamberTable
-        return table_cls(k, max_len, _walk_slices(k, max_len, loop_free))
+        return table_cls(k, max_len)
 
 
 class LoopFreeTable(_PackedTable):
@@ -489,7 +487,7 @@ class LoopFreeTable(_PackedTable):
     braid = True
     count = _PackedTable.count
 
-    def __init__(self, k: int, max_len: int, slices):
+    def __init__(self, k: int, max_len: int, slices=None):
         super().__init__(k, max_len, slices)
         self._vertices = [None] * len(self._keys)  # _make_vertices memo, by id
 
@@ -568,7 +566,7 @@ def session_table(k: int, n: int, mode: str, table=None):
 def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
     """Number of complete walks of length walk_len: sum_v f(v, m) * f(v, h)
     over the cut of half_lengths, read from `table` or else from the last
-    DP slices, without numbering points or building tiles."""
+    DP slices, without building rows."""
     if table is not None:
         if table.k != k or table.braid != braid:
             raise ValueError(f"a {type(table).__name__} for k={table.k}"
@@ -577,10 +575,11 @@ def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
         return sum(table.midpoint_weights(walk_len))
     m, h = half_lengths(walk_len, braid)
     _check_size(k, h, braid)
-    for s, counts in enumerate(_walk_slices(k, h, braid)):
+    _, ends, up, down = _grade(k, h, braid)
+    for s, counts in enumerate(_walk_counts(k, h, braid, ends, up, down)):
         if s == m:
             first = counts
-    return sum(c * first.get(key, 0) for key, c in counts.items())
+    return sum(map(mul, first, counts))
 
 
 def total_partitions(k: int, n: int, table: ChamberTable | None = None) -> int:

@@ -15,7 +15,8 @@ that the direct DP in `counting.py` must satisfy:
 * loop_free_even_count  loop-free braid counts by inclusion-exclusion over
                         the number of loop vertices;
 * chamber_count         a tuple-keyed chamber DP that shares no code with
-                        the packed engine.
+                        the packed engine (chamber_slices gives its whole
+                        slices).
 """
 
 from __future__ import annotations
@@ -412,6 +413,23 @@ def chamber_count(
     if track and s % 2 == 1:
         return slices[s].get((v, False), 0) + slices[s].get((v, True), 0)
     return slices[s].get(v, 0)
+
+
+def chamber_slices(k: int, max_len: int, loop_free: bool = False) -> list:
+    """{point: count} of the walks from the start point at each length
+    0..max_len, by the DP of chamber_count: partition walks, or loop-free
+    braid walks when loop_free.  Only points with a walk appear."""
+    kind = BRAID_WALK if loop_free else PARTITION_WALK
+    found = _oracle_extend(k, kind, loop_free, max_len)[:max_len + 1]
+    slices = []
+    for s, d in enumerate(found):
+        if loop_free and s % 2:  # keyed (point, whether it added to row 1)
+            merged: dict = {}
+            for (v, _), c in d.items():
+                merged[v] = merged.get(v, 0) + c
+            d = merged
+        slices.append(dict(d))
+    return slices
 
 
 # ---------------------------------------------------------------------------

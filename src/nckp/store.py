@@ -13,10 +13,11 @@ length of its walks (counting.half_lengths), so a cache of max_len L
 serves every n whose half length is at most L -- n <= L in plain mode,
 n <= L + 1 in regular mode.
 
-The file holds no counts.  The chamber DP rebuilds a table faster than the
-text of its counts can be parsed back (k=3, max_len=240, on a 2-vCPU
-machine: 0.17 s against 0.33 s for 4 MB of text), and counts read from
-disk would each have to be checked before a sampler could trust them.  So
+The file holds no counts.  The chamber DP rebuilds a table about as fast
+as the text of its counts can be parsed back (k=3, max_len=240, on a
+2-vCPU machine: 0.11-0.13 s against 0.12-0.13 s for int() over the 17 MB
+of decimal text alone), and counts read from disk would each have to be
+checked before a sampler could trust them.  So
 load_tables reads the six header lines, rebuilds the named table with
 ChamberTable.build, and accepts it only when its entry count and digest
 equal the recorded ones.  The digest covers the table's graded point ids

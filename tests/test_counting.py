@@ -4,7 +4,6 @@ import pytest
 
 from nckp.counting import (
     ChamberTable,
-    InvariantError,
     LoopFreeTable,
     TableLimitError,
     total_partitions,
@@ -14,6 +13,7 @@ from nckp.oracle import (
     OrthantTable,
     build_orthant_table,
     chamber_count,
+    chamber_slices,
     loop_free_even_count,
     loop_free_odd_count,
     reflected_count,
@@ -350,26 +350,33 @@ def test_moves_follow_legal_steps():
                         assert table.lookup(q, 9) == table.count(table.point(q), 9)
 
 
+def _by_id(table):
+    """The table's counts of every length, each a list over its prefix of
+    ids: the form the table constructor takes."""
+    return [table._column(s) for s in range(table.max_len + 1)]
+
+
 def _lookups_match(table, slices):
     """lookup(i, s) is the count slice s gives id i inside its prefix, and
     0 outside it, for every id and every length."""
     for s, counts in enumerate(slices):
         for i in range(len(table._keys)):
-            inside = i < len(counts)
-            expected = counts[table._keys[i]] if inside else 0
+            expected = counts[i] if i < len(counts) else 0
             assert table.lookup(i, s) == expected, (s, i)
 
 
 def test_lookup_equals_count_everywhere():
-    from nckp.counting import _walk_slices
-
+    """Every id at every length reads the count of the oracle's
+    tuple-keyed DP, through lookup() and through count()."""
     for table in (ChamberTable.build(3, 21), ChamberTable.build(5, 11),
                   LoopFreeTable.build(3, 18), LoopFreeTable.build(4, 12)):
-        slices = list(_walk_slices(table.k, table.max_len, table.braid))
-        _lookups_match(table, slices)
+        slices = chamber_slices(table.k, table.max_len, table.braid)
         for i in range(len(table._keys)):
+            v = table.point(i)
             for s in range(table.max_len + 1):
-                assert table.lookup(i, s) == table.count(table.point(i), s)
+                expected = slices[s].get(v, 0)
+                assert table.lookup(i, s) == expected, (table.k, i, s)
+                assert table.count(v, s) == expected
 
 
 def test_lookup_on_prefixes_that_are_not_monotone():
@@ -377,15 +384,15 @@ def test_lookup_on_prefixes_that_are_not_monotone():
     or to hold every id while the next tile of lengths holds fewer: an id
     reads its count where a prefix holds it and a 0 in the gaps."""
     table = ChamberTable.build(3, 17)
-    slices = [{table._pack(v): c for v, c in table.slice_items(s)}
-              for s in range(18)]
-    slices[0] = {table._pack((1, 0)): 0, table._pack((2, 0)): 1}
+    slices = _by_id(table)
+    assert [table.point(0), table.point(1)] == [(1, 0), (2, 0)]
+    slices[0] = [0, 1]
     doctored = ChamberTable(3, 17, slices)
     assert [len(d) for d in slices[:3]] == [2, 1, 2]
     _lookups_match(doctored, slices)
     assert [doctored.lookup(1, s) for s in range(3)] == [1, 0, 1]
     last = len(table._keys) - 1
-    slices[0] = {key: i + 1 for i, key in enumerate(table._keys)}
+    slices[0] = [i + 1 for i in range(last + 1)]
     doctored = ChamberTable(3, 17, slices)
     assert len(slices[15]) <= last < len(slices[16])
     _lookups_match(doctored, slices)
@@ -403,10 +410,9 @@ def test_vertices_are_the_moves_of_a_loop_free_vertex():
     tables = [LoopFreeTable.build(k, max_len)
               for k, max_len in ((3, 14), (4, 12), (5, 10))]
     table = LoopFreeTable.build(3, 8)
-    slices = [{table._pack(v): c for v, c in table.slice_items(s)}
-              for s in range(9)]
-    slices[0] = {table._pack((1, 0)): 1, table._pack((2, 0)): 1}
-    slices[1] = {table._pack((1, 0)): 1}
+    slices = _by_id(table)
+    slices[0] = [1, 1]  # ids 0 and 1 are (1, 0) and (2, 0)
+    slices[1] = [1]
     doctored = LoopFreeTable(3, 8, slices)
     assert doctored.vertices(doctored.start_id, 2) == (((0, 0), 0),)
     tables.append(doctored)
@@ -462,10 +468,70 @@ def test_support_is_every_point_up_to_the_box_bound():
                     range(len(stored)))
 
 
-def test_slices_must_be_graded_prefixes():
-    table = ChamberTable.build(3, 6)
-    slices = [{table._pack(v): c for v, c in table.slice_items(s)}
-              for s in range(7)]
-    del slices[4][table._pack((1, 0))]
-    with pytest.raises(InvariantError, match="length 4"):
-        ChamberTable(3, 6, slices)
+def test_engine_slices_are_the_graded_prefixes():
+    """The DP engine yields, at each length s, one count per id below N_s,
+    each positive and equal to the oracle's, and no other point has a
+    walk of length s in the oracle's DP: the support is the id prefix."""
+    from nckp.counting import _box_bound, _grade, _walk_counts
+
+    for k in (2, 3, 4, 5, 6):
+        for loop_free in (False, True):
+            if loop_free and k < 3:
+                continue
+            max_len = 14 if k < 6 else 10
+            keys, ends, up, down = _grade(k, max_len, loop_free)
+            table = ChamberTable.build(k, max_len, loop_free=loop_free)
+            assert table._keys == keys
+            expected = chamber_slices(k, max_len, loop_free)
+            counts = _walk_counts(k, max_len, loop_free, ends, up, down)
+            for s, (got, want) in enumerate(zip(counts, expected)):
+                n = ends[_box_bound(s, loop_free)]
+                assert len(got) == n == len(want), (k, loop_free, s)
+                assert all(c > 0 for c in got), (k, loop_free, s)
+                assert {table.point(i): c for i, c in enumerate(got)} == want
+            assert s == max_len
+
+
+def test_neighbour_arrays_are_the_legal_steps():
+    """up[i][d] and down[i][d] are the ids of the points one add or remove
+    on coordinate i away from id d, as legal_steps and apply_step make
+    them, and the sentinel N where that step is illegal or leaves the
+    numbering: every add out of the last box level reads it.  moves()
+    lists the steps in legal_steps' order, with after_top leaving out
+    remove(1)."""
+    from nckp.counting import _box_bound
+    from nckp.walks import (BRAID_WALK, PARTITION_WALK, apply_step,
+                            legal_steps, point_to_shape, shape_to_point)
+
+    for k in (2, 3, 4, 5, 6):
+        max_len = 12 if k < 6 else 8
+        tables = [ChamberTable.build(k, max_len)]
+        if k >= 3:
+            tables.append(LoopFreeTable.build(k, max_len))
+        for table in tables:
+            n, bound = len(table._keys), _box_bound(max_len, table.braid)
+            kind = BRAID_WALK if table.braid else PARTITION_WALK
+            on_last_level = 0
+            for d in range(n):
+                rows = point_to_shape(table.point(d), k)
+                on_last_level += sum(rows) == bound
+                for adding, near in ((True, table._up), (False, table._down)):
+                    parity = "odd" if adding == table.braid else "even"
+                    steps = legal_steps(rows, k, parity, kind)
+                    for i in range(k - 1):
+                        step = i + 1 if adding else -i - 1
+                        after = apply_step(rows, step)
+                        if step in steps and sum(after) <= bound:
+                            assert table.point(near[i][d]) == shape_to_point(
+                                after, k), (k, table.braid, d, step)
+                        else:
+                            assert near[i][d] == n, (k, table.braid, d, step)
+                    if adding and sum(rows) == bound:
+                        assert {row[d] for row in near} == {n}
+                    for top in (False,) if adding else (False, True):
+                        ends = {st: apply_step(rows, st) for st in legal_steps(
+                            rows, k, parity, kind, 1 if top else None)}
+                        assert table.moves(d, max_len, adding, top) == tuple(
+                            (st, table.point_id(shape_to_point(end, k)))
+                            for st, end in ends.items() if sum(end) <= bound)
+            assert on_last_level > 0

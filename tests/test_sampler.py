@@ -302,9 +302,9 @@ def test_draw_matches_shape_space_sampler():
 def _doctored(table, s, counts):
     """A copy of `table` whose counts at length s are updated from
     `counts` (point -> count), made with the packed-table constructor."""
-    slices = [{table._pack(v): c for v, c in table.slice_items(t)}
-              for t in range(table.max_len + 1)]
-    slices[s].update({table._pack(v): c for v, c in counts.items()})
+    slices = [table._column(t) for t in range(table.max_len + 1)]
+    for v, c in counts.items():
+        slices[s][table.point_id(v)] = c
     return type(table)(table.k, table.max_len, slices)
 
 
@@ -358,9 +358,8 @@ from nckp.sampler import SamplerSession
 
 for mode, table in (("plain", ChamberTable.build(3, 8)),
                     ("regular", LoopFreeTable.build(3, 8))):
-    slices = [{table._pack(v): c for v, c in table.slice_items(t)}
-              for t in range(table.max_len + 1)]
-    slices[0] = {table._pack((1, 0)): 0, table._pack((2, 0)): 1}
+    slices = [table._column(t) for t in range(table.max_len + 1)]
+    slices[0] = [0, 1]  # ids 0 and 1 are (1, 0) and (2, 0)
     doctored = type(table)(3, table.max_len, slices)
     session = SamplerSession(3, 4, mode, seed=3, table=doctored)
     for _ in range(5):

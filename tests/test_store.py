@@ -123,15 +123,13 @@ def test_rejects_data_after_the_header(tmp_path):
 
 def test_digest_pins_every_count():
     table = ChamberTable.build(3, 12)
-    slices = [{table._pack(v): c for v, c in table.slice_items(s)}
-              for s in range(13)]
+    slices = [table._column(s) for s in range(13)]
     copy = ChamberTable(3, 12, slices)
     assert copy.digest() == table.digest()
     for s in (0, 5, 12):
-        key = next(iter(slices[s]))
-        slices[s][key] += 1
+        slices[s][0] += 1
         assert ChamberTable(3, 12, slices).digest() != table.digest()
-        slices[s][key] -= 1
+        slices[s][0] -= 1
 
 
 def test_version_2_cache_asks_for_a_rebuild(tmp_path):
@@ -183,15 +181,23 @@ def _v4_digest(keys, slices):
     return h.hexdigest()
 
 
-def _dp_slices(k, max_len, loop_free):
-    from nckp.counting import _walk_slices
+def _dp_slices(table):
+    """The table's counts by the oracle's tuple-keyed DP, one {packed
+    point: count} dict per length."""
+    from nckp.oracle import chamber_slices
 
-    return [dict(d) for d in _walk_slices(k, max_len, loop_free)]
+    return [{table._pack(v): c for v, c in d.items()}
+            for d in chamber_slices(table.k, table.max_len, table.braid)]
 
 
 def _graded_keys(table, last):
     """The packed points of the last DP slice, by box count, then key."""
     return sorted(last, key=lambda key: (sum(table._unpack(key)), key))
+
+
+def _by_id(keys, slices):
+    """The counts of `slices` by id, the form the table constructor takes."""
+    return [[d[key] for key in keys[:len(d)]] for d in slices]
 
 
 @pytest.mark.parametrize("cls, k, max_len", [
@@ -201,7 +207,7 @@ def _graded_keys(table, last):
 ])
 def test_digest_is_the_version_4_serialisation(cls, k, max_len):
     table = cls.build(k, max_len)
-    slices = _dp_slices(k, max_len, table.braid)
+    slices = _dp_slices(table)
     assert table.digest() == _v4_digest(_graded_keys(table, slices[-1]), slices)
 
 
@@ -209,11 +215,11 @@ def test_digest_of_tables_whose_prefixes_are_not_monotone():
     """Slice 0 holds two ids, slice 1 one: the count 0 at the start point
     is a byte, the gap of id 1 at length 1 an empty chunk.  Then slice 0
     holds every id, and the whole next tile of lengths fewer."""
-    slices = _dp_slices(3, 17, False)
     table = ChamberTable.build(3, 17)
+    slices = _dp_slices(table)
     keys = _graded_keys(table, slices[-1])
     for doctored_0 in ({table._pack((1, 0)): 0, table._pack((2, 0)): 1},
                        {key: i + 1 for i, key in enumerate(keys)}):
         slices[0] = doctored_0
-        doctored = ChamberTable(3, 17, slices)
+        doctored = ChamberTable(3, 17, _by_id(keys, slices))
         assert doctored.digest() == _v4_digest(keys, slices) != table.digest()
