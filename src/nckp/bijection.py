@@ -28,9 +28,9 @@ decode_partition runs the insertion engine into an array of right
 endpoints and builds the canonical blocks directly, with none of the
 checks of blocks_from_arcs and Partition.from_blocks: a walk that passes
 validate_walk always decodes to a partition, so those checks would only
-repeat it.  validate=False skips validate_walk too and trusts the walk to
-be legal, as the sampler's draws are.  Every other function here checks
-its input.
+repeat it.  Its validate=False skips validate_walk too and trusts the
+walk to be legal, as the sampler's draws are.  Every other function here,
+decode_braid included, checks its input.
 """
 
 from __future__ import annotations
@@ -192,13 +192,12 @@ def decode_partition(walk: Walk, *, validate: bool = True) -> Partition:
     return _trusted_blocks(walk.steps, walk.k)
 
 
-def decode_braid(walk: Walk, *, validate: bool = True) -> Braid:
-    """Decode a complete braid walk of length 2n into its braid;
-    validate=False as for decode_partition."""
+def decode_braid(walk: Walk) -> Braid:
+    """Decode a complete braid walk of length 2n into its braid, after
+    validate_walk."""
     if walk.kind != BRAID_WALK:
         raise ValueError(f"expected a braid walk, got kind {walk.kind!r}")
-    if validate:
-        validate_walk(walk, complete=True)
+    validate_walk(walk, complete=True)
     if len(walk.steps) % 2:
         raise WalkError(len(walk.steps), "complete walk must have even length")
     n = len(walk.steps) // 2

@@ -134,6 +134,15 @@ def _session_table(args):
         raise CacheError(f"cache {args.cache} does not fit {flags}: {exc}") from None
 
 
+def _session(args):
+    """The seeded SamplerSession of the sample or stats command."""
+    from .sampler import SamplerSession
+
+    mode = "regular" if args.regular else "plain"
+    return SamplerSession(args.k, args.n, mode, seed=args.seed,
+                          table=_session_table(args))
+
+
 def _formatter(fmt: str):
     """The function that turns a sampled partition into its output line."""
     from .diagrams import Partition
@@ -162,11 +171,7 @@ def _cmd_count(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 0:
         return _fail("--count must be >= 0", USAGE_ERROR)
-    from .sampler import SamplerSession
-
-    mode = "regular" if args.regular else "plain"
-    session = SamplerSession(args.k, args.n, mode, seed=args.seed,
-                             table=_session_table(args))
+    session = _session(args)
     write, line = sys.stdout.write, _formatter(args.format)
     for _ in range(args.count):
         _, p = session.draw()
@@ -194,11 +199,7 @@ def _cmd_stats(args) -> int:
         return _fail("--samples must be >= 1", USAGE_ERROR)
     from collections import Counter
 
-    from .sampler import SamplerSession
-
-    mode = "regular" if args.regular else "plain"
-    session = SamplerSession(args.k, args.n, mode, seed=args.seed,
-                             table=_session_table(args))
+    session = _session(args)
     hist: Counter = Counter()
     for _ in range(args.samples):
         _, p = session.draw()

@@ -16,7 +16,8 @@ down[i][d] are the ids of d + e_i and d - e_i, or a sentinel N when that
 point leaves the chamber (stops being strictly decreasing and >= 0) or
 the numbering.  Every point with at most _box_bound(s) boxes has a walk
 of length s (add its boxes, then stay), and no other point has one, so
-slice s is a list over the id prefix [0, N_s).  The DP is in gather
+slice s holds exactly the ids [0, N_s), N_s = ends[_box_bound(s)]: the
+prefix rule, the one slice shape tables take.  The DP is in gather
 form: each id of slice s sums the counts of slice s-1 at the sources of
 the steps into it, read through the neighbour arrays from a copy of
 slice s-1 padded with zeros up to the sentinel, so nothing is counted
@@ -38,7 +39,7 @@ keep just the last DP slices and build no rows at all.
 
 A table stores the counts densely by id, in one row of Python ints per
 point: row i holds the counts of id i at every length from the first
-whose prefix holds i to max_len, so a lookup is two list reads, and a
+that holds i to max_len, so a lookup is two list reads, and a
 draw, which reads lengths s, s-1, ... of the few points it walks along,
 stays on their rows.  The rows grow a tile of TILE lengths at a time, by
 fresh copies of the DP's counts made id by id, so that a row's counts of
@@ -46,11 +47,11 @@ one tile lie side by side in memory.  The same tiles, with the counts
 interleaved by id as big-endian bytes, are the serialisation digest()
 hashes, which caches pin.  A sampler reads a table by id: moves() lists
 the (step, target id) pairs out of one point, made once from the
-neighbour arrays, a LoopFreeTable's vertices() the loop-free braid
-vertices (two moves) into one point, made once from moves(), and
-lookup() reads a count, so the build and the draw share one step rule.
-The draw's inner loop reads the rows and the two memos directly, to save
-a call per candidate.
+neighbour arrays; back() lists the moves a draw takes back out of one
+point, one step of a partition walk or one loop-free braid vertex (two
+moves), made once from moves(); and lookup() reads a count, so the build
+and the draw share one step rule.  The draw's inner loop reads the rows
+and back()'s memo directly, to save a call per candidate.
 
 This module also owns the chamber primitives the DP runs on (start_point
 and in_chamber, which `walks.py` re-exports) and session_table, which
@@ -184,7 +185,7 @@ def _grade(k: int, max_len: int, braid: bool):
     point of id d, ends[b] the number of ids holding at most b boxes, and
     up[i][d] (down[i][d]) the id of d + e_i (d - e_i), or the sentinel
     N = len(keys) when that point lies outside the chamber or past the
-    numbering.  The DP, moves() and vertices() read only these arrays."""
+    numbering.  The DP, moves() and back() read only these arrays."""
     bits = _coord_bits(k, max_len)
     pack, _, shifts = _packer(k, bits)
     mask = (1 << bits) - 1
@@ -271,41 +272,53 @@ def _sha256():
 
 class _PackedTable:
     """Walk counts for all endpoints and lengths 0..max_len, in one row (a
-    tuple of Python ints) per point id; `braid` tells the walk kind.  Row i
-    holds the counts of id i at lengths _first[i]..max_len, where _first[i]
-    is the first length whose prefix holds i, and a 0 at any length whose
-    prefix does not.  A draw walks along a few points, reading each one's
-    row at lengths s, s-1, ..., so its reads stay on those rows.  Built
-    once, immutable afterwards (but for the moves() memo, which only grows,
-    and a LoopFreeTable's vertices() memo) and safe to share, memos
-    included.  count() takes a point and checks it; moves(), vertices()
-    and lookup() take point ids and do not check.
+    tuple of Python ints) per point id; `braid` tells the walk kind.  By
+    the prefix rule, length s holds the ids below _sizes[s] =
+    ends[_box_bound(s)], the points of at most _box_bound(s) boxes, so
+    row i holds the counts of id i at lengths _first[i]..max_len, where
+    _first[i] is the first length that holds i.  A draw walks along a few
+    points, reading each one's row at lengths s, s-1, ..., so its reads
+    stay on those rows.  Built once, immutable afterwards (but for the
+    moves() and back() memos, which only grow) and safe to share, memos
+    included.  count() takes a point and checks it; moves(), back() and
+    lookup() take point ids and do not check.
     """
 
     braid = False
     start_id = 0  # the graded order puts the start point, with 0 boxes, first
 
     def __init__(self, k: int, max_len: int, slices=None):
-        """`slices` yields the counts of each length by id, each a list
-        over a prefix of the ids; None runs the DP."""
+        """`slices` yields the counts of each length 0..max_len by id, each
+        a list over the prefix of ids the prefix rule gives that length;
+        None runs the DP.  ValueError when there are more or fewer slices,
+        or a slice holds more or fewer ids."""
         self.k = k
         self.max_len = max_len
         self._pack, self._unpack, _ = _packer(k, _coord_bits(k, max_len))
         self._base = sum(start_point(k))
         self._keys, self._ends, self._up, self._down = _grade(
             k, max_len, self.braid)
+        # length -> ids it holds, and id -> first length that holds it
+        self._sizes = [self._ends[_box_bound(s, self.braid)]
+                       for s in range(max_len + 1)]
+        self._first = list(map(bisect_right, repeat(self._sizes),
+                               range(len(self._keys))))
         if slices is None:
             slices = _walk_counts(k, max_len, self.braid, self._ends,
                                   self._up, self._down)
-        self._sizes: list[int] = []  # length -> ids its prefix holds
-        self._first: list[int] = []  # id -> first length whose prefix holds it
         rows: list = []  # id -> counts from _first[id] on
-        slices = iter(slices)
+        lo, slices = 0, iter(slices)
         while cols := list(islice(slices, TILE)):  # a tile at a time
-            self._extend_rows(rows, cols)
-        missing = len(self._keys) - len(rows)  # ids no slice holds
-        rows += ([] for _ in range(missing))
-        self._first += [len(self._sizes)] * missing
+            for s, col in enumerate(cols, lo):
+                if s > max_len:
+                    raise ValueError(f"more than {max_len + 1} slices")
+                if len(col) != self._sizes[s]:
+                    raise ValueError(f"slice {s} holds {len(col)} ids, the"
+                                     f" prefix rule gives {self._sizes[s]}")
+            self._extend_rows(rows, cols, lo)
+            lo += len(cols)
+        if lo <= max_len:
+            raise ValueError(f"{lo} slices, need {max_len + 1}")
         # The collector stops tracking a tuple of ints after its first pass
         # over it, so later full collections skip the table's counts; a
         # list of them would be walked count by count every time.
@@ -314,33 +327,30 @@ class _PackedTable:
         self._rows: list[tuple[int, ...]] = rows
         # _make_moves memo, by adding + 2 * after_top, then id
         self._moves = [[None] * len(self._keys) for _ in range(4)]
+        # _make_back memo, by the parity of the length, then id: a step back
+        # out of an odd length adds; a braid vertex ends on an even length
+        self._back = [[None] * len(rows)] * 2 if self.braid else self._moves[:2]
 
-    def _extend_rows(self, rows: list, cols: list) -> None:
-        """Append the next lengths, `cols` holding each one's counts by id,
-        to the rows: a 0 where a length's prefix misses an id an earlier
-        length held, nothing before an id's first length.  The counts go
-        in as fresh copies made id by id while the DP's own objects are
-        still alive, so the copies land on new memory and a row's counts
-        of one tile lie side by side: a draw reads one point at lengths s,
-        s-1, ..., and the DP leaves each length's counts scattered."""
-        lo, old, width = len(self._sizes), len(rows), len(cols)
-        lens = list(map(len, cols))
-        self._sizes += lens
-        reach = list(accumulate(lens, max))  # ids some length so far holds
+    def _extend_rows(self, rows: list, cols: list, lo: int) -> None:
+        """Append lengths lo, lo+1, ..., `cols` holding each one's counts
+        by id, to the rows: the ids earlier lengths held extend their rows
+        by every length of the tile, and each id the tile adds starts a
+        row at its first length.  The counts go in as fresh copies made id
+        by id while the DP's own objects are still alive, so the copies
+        land on new memory and a row's counts of one tile lie side by
+        side: a draw reads one point at lengths s, s-1, ..., and the DP
+        leaves each length's counts scattered."""
+        old, width = len(rows), len(cols)
         # x + 0 is a new object for every count past the small-int cache
         fresh = map(add, chain.from_iterable(zip_longest(*cols, fillvalue=0)),
                     repeat(0))
         by_id = zip(*[fresh] * width)
         deque(map(list.extend, rows, islice(by_id, old)), 0)  # at C level
-        for row in rows[reach[-1]:old]:  # ids no length of the tile holds
-            row.extend(repeat(0, width))
-        # an id the tile adds starts at the first length that holds it
-        starts = list(map(bisect_right, repeat(reach), range(old, reach[-1])))
+        starts = map(sub, islice(self._first, old, len(cols[-1])), repeat(lo))
         rows += map(list, map(getitem, by_id, map(slice, starts, repeat(None))))
-        self._first += map(add, repeat(lo), starts)
 
     def _column(self, s: int) -> list[int]:
-        """The counts at length s of the ids its prefix holds, by id."""
+        """The counts at length s of the ids it holds, by id."""
         at = map(sub, repeat(s), islice(self._first, self._sizes[s]))
         return list(map(getitem, self._rows, at))
 
@@ -396,20 +406,19 @@ class _PackedTable:
     def _tile_chunks(self, t: int) -> list[bytes]:
         """The entries of the tile of lengths t..t+TILE-1, for digest():
         each id's counts at those lengths as big-endian bytes, a 0 as one
-        byte, and empty where a length's prefix misses the id or the length
-        is past max_len."""
+        byte, and empty before the id's first length or past max_len."""
         rows, first = self._rows, self._first
         lens = self._sizes[t:t + TILE]
-        width, low = len(lens), min(lens)
+        width, low = len(lens), lens[0]
         pad = (None,) * (TILE - width)
-        # every length of the tile holds the ids below `low`: a row slice each
+        # every length of the tile holds the ids its first one does
         starts = list(map(sub, repeat(t), islice(first, low)))
         vals = list(chain.from_iterable(map(
             getitem, rows, map(slice, starts, map(add, starts, repeat(width))))))
         if pad:
             vals = list(chain.from_iterable(
                 map(add, zip(*[iter(vals)] * width), repeat(pad))))
-        for i in range(low, max(lens)):  # ids some length of the tile misses
+        for i in range(low, lens[-1]):  # ids the tile adds
             row, at = rows[i], t - first[i]
             vals += [row[at + j] if i < n else None for j, n in enumerate(lens)]
             vals += pad
@@ -418,7 +427,7 @@ class _PackedTable:
                 for v in vals]
 
     def lookup(self, i: int, s: int) -> int:
-        """count() of point id i, unchecked: 0 where no prefix holds it."""
+        """count() of point id i, unchecked: 0 before _first[i]."""
         at = s - self._first[i]
         return self._rows[i][at] if at >= 0 else 0
 
@@ -447,6 +456,18 @@ class _PackedTable:
         self._moves[adding + 2 * after_top][i] = memo
         return memo
 
+    def back(self, i: int, s: int) -> tuple:
+        """(undo, origin id) of each move a draw takes back out of point id
+        i at length s onto length s - 1 - braid, in the step order of
+        moves(): one step of a partition walk, whose undo is a step code,
+        or one loop-free braid vertex (s even), whose undo is the pair
+        (undo remove, undo add).  The moves of each (id, parity of s) are
+        made once, in _back[s & 1][i] by _make_back, and cut here to the
+        origins length s - 1 - braid holds."""
+        found, last = self._back[s & 1][i] or self._make_back(i, s & 1)
+        n = self._sizes[s - 1 - self.braid]
+        return found if last < n else tuple(m for m in found if m[1] < n)
+
     def point(self, i: int) -> tuple[int, ...]:
         return self._unpack(self._keys[i])
 
@@ -466,6 +487,10 @@ class ChamberTable(_PackedTable):
 
     count = _PackedTable.count  # own attribute, so it can be wrapped per class
 
+    def _make_back(self, i: int, parity: int):
+        """_make_moves(i, parity, False), whose memo _back[parity] is."""
+        return self._make_moves(i, parity, False)
+
     @classmethod
     def build(cls, k: int, max_len: int, *, loop_free: bool = False):
         """Run the chamber DP.  With loop_free=True the same engine counts
@@ -481,49 +506,30 @@ class ChamberTable(_PackedTable):
 
 class LoopFreeTable(_PackedTable):
     """Loop-free braid-walk counts for all endpoints and lengths <= walk_len.
-    Besides the moves() memo it keeps the vertices() memo, which likewise
-    only grows."""
+    A draw steps back a vertex at a time, from even lengths only, so both
+    slots of the back() memo are one list of vertices by id."""
 
     braid = True
     count = _PackedTable.count
 
-    def __init__(self, k: int, max_len: int, slices=None):
-        super().__init__(k, max_len, slices)
-        self._vertices = [None] * len(self._keys)  # _make_vertices memo, by id
-
-    def vertices(self, i: int, s: int):
-        """((undo remove, undo add), origin id) of each loop-free braid
-        vertex that ends on point id i after s steps, in the step order of
-        moves(): undo the remove with an add onto slice s-1, then the add
-        with a remove onto slice s-2, and after add(1) undid remove(1) no
-        remove(1) may undo add(1), since that vertex would be a loop.  The
-        vertices of each id are made once and cut here to those whose
-        middle point slice s-1 holds and whose origin slice s-2 holds."""
-        found, last, last_mid, triples = (self._vertices[i]
-                                          or self._make_vertices(i))
-        n, n_mid = self._sizes[s - 2], self._sizes[s - 1]
-        if last < n and last_mid < n_mid:
-            return found
-        return tuple((back, prev) for back, mid, prev in triples
-                     if mid < n_mid and prev < n)
-
-    def _make_vertices(self, i: int):
-        """Fill and return _vertices[i]: the (undo, origin) pairs of the
-        vertices into id i, the largest origin and middle ids (-1 when
-        there is none), which tell vertices() whether to cut them, and the
-        (undo, middle, origin) triples the cut reads."""
+    def _make_back(self, i: int, parity: int):
+        """Fill and return _back[parity][i], one memo for both parities:
+        the vertices into id i, each (undo remove, undo add) with its
+        origin, and the largest origin id, which tells back() whether to
+        cut them.  Undo the remove with an add, then the add with a remove,
+        and after add(1) undid remove(1) no remove(1) may undo add(1), since
+        that vertex would be a loop.  At an even length s an origin of at
+        most _box_bound(s - 2) boxes has a middle point of at most one box
+        more, which length s - 1 holds, so only origins need cutting."""
         def made(j, adding, after_top):  # moves() of id j, uncut
             return (self._moves[adding + 2 * after_top][j]
                     or self._make_moves(j, adding, after_top))[0]
 
-        triples = tuple(((undo_remove, undo_add), mid, prev)
-                        for undo_remove, mid in made(i, True, False)
-                        for undo_add, prev in made(mid, False, undo_remove == 1))
-        memo = (tuple((back, prev) for back, _, prev in triples),
-                max((prev for *_, prev in triples), default=-1),
-                max((mid for _, mid, _ in triples), default=-1),
-                triples)
-        self._vertices[i] = memo
+        found = tuple(((undo_remove, undo_add), prev)
+                      for undo_remove, mid in made(i, True, False)
+                      for undo_add, prev in made(mid, False, undo_remove == 1))
+        memo = (found, max(prev for _, prev in found))
+        self._back[parity][i] = memo
         return memo
 
     @classmethod

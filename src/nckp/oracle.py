@@ -342,18 +342,21 @@ def loop_free_odd_count(lt: LoopFreeTable, v: tuple[int, ...], s: int) -> int:
 # ---------------------------------------------------------------------------
 
 ORACLE_CACHE_KINDS = 8
-_oracle_slices: dict[tuple, list] = {}
+
+
+@lru_cache(maxsize=ORACLE_CACHE_KINDS)
+def _oracle_slices(k: int, kind: str, loop_free: bool) -> list:
+    """The slices of the direct DP for (k, kind, loop_free) made so far,
+    which _oracle_extend grows in place: kept for at most
+    ORACLE_CACHE_KINDS such triples, the least recently used dropped
+    first."""
+    return [{start_point(k): 1}]
 
 
 def _oracle_extend(k: int, kind: str, loop_free: bool, upto: int) -> list:
-    """Slices 0..upto of the direct DP for (k, kind, loop_free).  Slices
-    are kept between calls for at most ORACLE_CACHE_KINDS such triples;
-    the oldest is dropped first."""
-    key = (k, kind, loop_free)
-    slices = _oracle_slices.pop(key, None) or [{start_point(k): 1}]
-    while len(_oracle_slices) >= ORACLE_CACHE_KINDS:
-        del _oracle_slices[next(iter(_oracle_slices))]
-    _oracle_slices[key] = slices
+    """The direct DP's slices for (k, kind, loop_free), grown to hold
+    lengths 0..upto at least."""
+    slices = _oracle_slices(k, kind, loop_free)
     while len(slices) <= upto:
         s = len(slices)
         cls = step_class(s, kind)

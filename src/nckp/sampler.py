@@ -18,9 +18,9 @@ is a bijection from [0, total) onto the complete walks, every walk has
 probability exactly 1/total, and a draw uses one uniform_below.  Plain
 mode samples partition walks a step at a time; regular mode samples
 loop-free braid walks a vertex (add, remove) at a time.  Both run one
-loop over moves the table memoises per point id: its moves() memo in
-plain mode, its vertices() memo in regular mode.  A regular walk with a
-do-nothing step added on either side is the partition walk of its
+loop over the moves back that the table memoises per point id (its
+back() memo), cut to the ids the next length holds.  A regular walk with
+a do-nothing step added on either side is the partition walk of its
 2-regular partition (bijection.py), so both modes decode a partition walk
 the same way.  The count table needs only the lengths up to h, and any
 table that holds them serves the session.  The unranking reads each
@@ -199,34 +199,21 @@ class SamplerSession:
         the start point to point id `cur`, found backwards and returned as
         the step codes that undo it, last step first: at each length the
         rank picks one of the moves back out of the current point, each
-        weighted by the walks that reach its target.  A move is one step in
-        plain mode and one loop-free braid vertex, two steps, in regular
-        mode; both come from the table's memos, read inline, and only near
-        the table's edge through the cut of moves() or vertices().
-        `second` tells which half this is, for naming positions in the
-        whole walk."""
+        weighted by the walks that reach its target.  A move spans `width`
+        steps: one step of a partition walk, or one loop-free braid vertex
+        of two.  The moves come from the table's back() memo, read inline,
+        and only near the table's edge through back()'s cut.  `second`
+        tells which half this is, for naming positions in the whole walk."""
         table = self.table
         rows, first, sizes = table._rows, table._first, table._sizes
-        plain = self.mode == "plain"
-        if plain:
-            moves = table._moves
-        else:
-            vertices = table._vertices
-        width = 1 if plain else 2
+        memo, make = table._back, table._make_back
+        width = 1 + table.braid
         backs = []
         for s in range(length, 0, -width):
             t = s - width
-            if plain:
-                adding = s & 1
-                found, last = (moves[adding][cur]
-                               or table._make_moves(cur, adding, False))
-                if last >= sizes[t]:  # some target lies past slice t
-                    found = table.moves(cur, t, adding)
-            else:
-                found, last, last_mid, _ = (vertices[cur]
-                                            or table._make_vertices(cur))
-                if last >= sizes[t] or last_mid >= sizes[s - 1]:
-                    found = table.vertices(cur, s)
+            found, last = memo[s & 1][cur] or make(cur, s & 1)
+            if last >= sizes[t]:  # some target lies past slice t
+                found = table.back(cur, s)
             # every target is held by slice t, so t >= first[prev]
             for back, prev in found:
                 weight = rows[prev][t - first[prev]]
@@ -243,7 +230,7 @@ class SamplerSession:
         if cur != table.start_id:
             raise self._inconsistent(self.walk_len if second else 0, cur,
                                      "the walk does not end on the start point")
-        return backs if plain else list(chain.from_iterable(backs))
+        return backs if width == 1 else list(chain.from_iterable(backs))
 
     def _inconsistent(self, i: int, cur: int, problem: str) -> InvariantError:
         return InvariantError(

@@ -350,21 +350,6 @@ def test_moves_follow_legal_steps():
                         assert table.lookup(q, 9) == table.count(table.point(q), 9)
 
 
-def _by_id(table):
-    """The table's counts of every length, each a list over its prefix of
-    ids: the form the table constructor takes."""
-    return [table._column(s) for s in range(table.max_len + 1)]
-
-
-def _lookups_match(table, slices):
-    """lookup(i, s) is the count slice s gives id i inside its prefix, and
-    0 outside it, for every id and every length."""
-    for s, counts in enumerate(slices):
-        for i in range(len(table._keys)):
-            expected = counts[i] if i < len(counts) else 0
-            assert table.lookup(i, s) == expected, (s, i)
-
-
 def test_lookup_equals_count_everywhere():
     """Every id at every length reads the count of the oracle's
     tuple-keyed DP, through lookup() and through count()."""
@@ -379,52 +364,80 @@ def test_lookup_equals_count_everywhere():
                 assert table.count(v, s) == expected
 
 
-def test_lookup_on_prefixes_that_are_not_monotone():
-    """Slice 0 doctored to hold ids 0 and 1 while slice 1 holds id 0 only,
-    or to hold every id while the next tile of lengths holds fewer: an id
-    reads its count where a prefix holds it and a 0 in the gaps."""
-    table = ChamberTable.build(3, 17)
-    slices = _by_id(table)
-    assert [table.point(0), table.point(1)] == [(1, 0), (2, 0)]
-    slices[0] = [0, 1]
-    doctored = ChamberTable(3, 17, slices)
-    assert [len(d) for d in slices[:3]] == [2, 1, 2]
-    _lookups_match(doctored, slices)
-    assert [doctored.lookup(1, s) for s in range(3)] == [1, 0, 1]
-    last = len(table._keys) - 1
-    slices[0] = [i + 1 for i in range(last + 1)]
-    doctored = ChamberTable(3, 17, slices)
-    assert len(slices[15]) <= last < len(slices[16])
-    _lookups_match(doctored, slices)
-    assert doctored.lookup(last, 0) == last + 1
-    assert doctored.lookup(last, 15) == 0 < doctored.lookup(last, 16)
+def test_sizes_and_first_lengths_follow_the_box_bound():
+    """Length s holds the ids of at most _box_bound(s) boxes, and an id of
+    b boxes is first held at length max(0, 2b - braid)."""
+    for k in (2, 3, 4, 5, 6):
+        for loop_free in (False, True):
+            if loop_free and k < 3:
+                continue
+            max_len = 14 if k < 6 else 10
+            table = ChamberTable.build(k, max_len, loop_free=loop_free)
+            base = sum(start_point(k))
+            boxes = [sum(table.point(i)) - base for i in range(len(table._keys))]
+            assert table._sizes == [
+                sum(b <= (s + loop_free) // 2 for b in boxes)
+                for s in range(max_len + 1)], (k, loop_free)
+            assert table._first == [max(0, 2 * b - loop_free) for b in boxes]
 
 
-def test_vertices_are_the_moves_of_a_loop_free_vertex():
-    """vertices(i, s), memoised whole and cut near the table's edge, lists
-    the braid vertices moves() composes: undo a remove onto slice s-1, then
-    an add onto slice s-2, with no remove(1) after add(1).  The last table
-    is doctored so that slice 0 holds ids 0 and 1 but slice 1 only id 0:
-    vertex (add 1, stay) into the start point then has its origin in
-    slice 0 but not its middle point in slice 1, and must be cut."""
-    tables = [LoopFreeTable.build(k, max_len)
-              for k, max_len in ((3, 14), (4, 12), (5, 10))]
-    table = LoopFreeTable.build(3, 8)
-    slices = _by_id(table)
-    slices[0] = [1, 1]  # ids 0 and 1 are (1, 0) and (2, 0)
-    slices[1] = [1]
-    doctored = LoopFreeTable(3, 8, slices)
-    assert doctored.vertices(doctored.start_id, 2) == (((0, 0), 0),)
-    tables.append(doctored)
-    for table in tables:
-        for s in range(2, table.max_len + 1):
+def test_constructor_refuses_slices_off_the_prefix_rule():
+    """Too few slices, too many, or a slice one id too long or too short:
+    both kinds raise ValueError, under python -O too, so no assert does it."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+from nckp.counting import ChamberTable, LoopFreeTable
+
+for table in (ChamberTable.build(3, 12), LoopFreeTable.build(3, 12)):
+    slices = [table._column(s) for s in range(table.max_len + 1)]
+    for bad in (slices[:-1], slices + [slices[-1]],
+                slices[:5] + [slices[5] + [1]] + slices[6:],
+                slices[:5] + [slices[5][:-1]] + slices[6:]):
+        try:
+            type(table)(3, table.max_len, bad)
+        except ValueError as exc:
+            print(exc)
+        else:
+            print("accepted")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    chamber, loop_free = ChamberTable.build(3, 12), LoopFreeTable.build(3, 12)
+    assert res.stdout.splitlines() == [
+        msg for n5 in (chamber._sizes[5], loop_free._sizes[5]) for msg in (
+            "12 slices, need 13", "more than 13 slices",
+            f"slice 5 holds {n5 + 1} ids, the prefix rule gives {n5}",
+            f"slice 5 holds {n5 - 1} ids, the prefix rule gives {n5}")]
+
+
+def test_back_is_the_moves_of_a_step_or_vertex():
+    """back(i, s), memoised whole and cut near the table's edge, lists the
+    moves a draw takes back out of id i at length s: on a chamber table
+    moves() onto length s-1, on a loop-free one (s even) the braid
+    vertices moves() composes, undo a remove onto length s-1, then an add
+    onto length s-2, with no remove(1) after add(1)."""
+    for k, max_len in ((2, 13), (3, 15), (4, 12), (5, 10)):
+        table = ChamberTable.build(k, max_len)
+        for s in range(1, max_len + 1):
             for i in range(len(table._keys)):
-                assert table.vertices(i, s) == tuple(
+                assert table.back(i, s) == table.moves(i, s - 1, s & 1), (
+                    k, i, s)
+    for k, max_len in ((3, 14), (4, 12), (5, 10)):
+        table = LoopFreeTable.build(k, max_len)
+        for s in range(2, max_len + 1, 2):
+            for i in range(len(table._keys)):
+                assert table.back(i, s) == tuple(
                     ((undo_remove, undo_add), prev)
                     for undo_remove, mid in table.moves(i, s - 1, True)
                     for undo_add, prev in table.moves(mid, s - 2, False,
                                                       undo_remove == 1)
-                ), (table.k, i, s)
+                ), (k, i, s)
 
 
 def test_moves_drop_points_the_slice_cannot_hold():

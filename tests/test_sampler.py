@@ -344,10 +344,11 @@ def test_draw_is_unrank_of_one_uniform_below():
         assert session.draw() == session.unrank(uniform_below(session.total, rng))
 
 
-def test_draw_that_cannot_end_on_the_start_point_raises_under_python_O():
-    """Slice 0 doctored to hold no walk at the start point and one at (2, 0):
-    the first half of every draw then ends on (2, 0), which the draw must
-    catch without assert."""
+def test_draws_on_inconsistent_tables_raise_under_python_O():
+    """Tables doctored within the prefix rule: zeros at the half length h
+    leave no walk to draw, and the counts at the cut m swollen a millionfold
+    leave a first half's rank far past its candidates' weights.  Sessions
+    and draws must catch both without assert, in both modes."""
     import os
     import subprocess
     import sys
@@ -358,16 +359,23 @@ from nckp.sampler import SamplerSession
 
 for mode, table in (("plain", ChamberTable.build(3, 8)),
                     ("regular", LoopFreeTable.build(3, 8))):
+    m, h = SamplerSession(3, 4, mode, table=table)._cut
     slices = [table._column(t) for t in range(table.max_len + 1)]
-    slices[0] = [0, 1]  # ids 0 and 1 are (1, 0) and (2, 0)
-    doctored = type(table)(3, table.max_len, slices)
-    session = SamplerSession(3, 4, mode, seed=3, table=doctored)
+    zero = [[0] * len(c) if t == h else c for t, c in enumerate(slices)]
+    swollen = [[x * 10**6 for x in c] if t == m else c
+               for t, c in enumerate(slices)]
+    try:
+        SamplerSession(3, 4, mode, table=type(table)(3, table.max_len, zero))
+    except InvariantError as exc:
+        print(exc)
+    session = SamplerSession(3, 4, mode, seed=3,
+                             table=type(table)(3, table.max_len, swollen))
     for _ in range(5):
         try:
             session.draw()
         except InvariantError as exc:
-            assert "does not end on the start point" in str(exc)
-            print(mode, "raised")
+            print(mode, "raised",
+                  "candidate weights sum below the stored total" in str(exc))
         else:
             print(mode, "drew")
 """
@@ -376,7 +384,10 @@ for mode, table in (("plain", ChamberTable.build(3, 8)),
     res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split("\n") == ["plain raised"] * 5 + ["regular raised"] * 5 + [""]
+    assert res.stdout.splitlines() == [
+        line for mode in ("plain", "regular") for line in (
+            f"{mode} k=3 n=4: zero total weight at position 0 (point (1, 0));"
+            " tables are inconsistent", *[f"{mode} raised True"] * 5)]
 
 
 def test_random_bits_counters():

@@ -195,11 +195,6 @@ def _graded_keys(table, last):
     return sorted(last, key=lambda key: (sum(table._unpack(key)), key))
 
 
-def _by_id(keys, slices):
-    """The counts of `slices` by id, the form the table constructor takes."""
-    return [[d[key] for key in keys[:len(d)]] for d in slices]
-
-
 @pytest.mark.parametrize("cls, k, max_len", [
     (ChamberTable, 2, 21), (ChamberTable, 3, 16), (ChamberTable, 3, 21),
     (ChamberTable, 4, 13), (ChamberTable, 5, 11),
@@ -209,17 +204,3 @@ def test_digest_is_the_version_4_serialisation(cls, k, max_len):
     table = cls.build(k, max_len)
     slices = _dp_slices(table)
     assert table.digest() == _v4_digest(_graded_keys(table, slices[-1]), slices)
-
-
-def test_digest_of_tables_whose_prefixes_are_not_monotone():
-    """Slice 0 holds two ids, slice 1 one: the count 0 at the start point
-    is a byte, the gap of id 1 at length 1 an empty chunk.  Then slice 0
-    holds every id, and the whole next tile of lengths fewer."""
-    table = ChamberTable.build(3, 17)
-    slices = _dp_slices(table)
-    keys = _graded_keys(table, slices[-1])
-    for doctored_0 in ({table._pack((1, 0)): 0, table._pack((2, 0)): 1},
-                       {key: i + 1 for i, key in enumerate(keys)}):
-        slices[0] = doctored_0
-        doctored = ChamberTable(3, 17, _by_id(keys, slices))
-        assert doctored.digest() == _v4_digest(keys, slices) != table.digest()
