@@ -43,15 +43,16 @@ that holds i to max_len, so a lookup is two list reads, and a
 draw, which reads lengths s, s-1, ... of the few points it walks along,
 stays on their rows.  The rows grow a tile of TILE lengths at a time, by
 fresh copies of the DP's counts made id by id, so that a row's counts of
-one tile lie side by side in memory.  The same tiles, with the counts
-interleaved by id as big-endian bytes, are the serialisation digest()
-hashes, which caches pin.  A sampler reads a table by id: moves() lists
-the (step, target id) pairs out of one point, made once from the
-neighbour arrays; back() lists the moves a draw takes back out of one
-point, one step of a partition walk or one loop-free braid vertex (two
-moves), made once from moves(); and lookup() reads a count, so the build
-and the draw share one step rule.  The draw's inner loop reads the rows
-and back()'s memo directly, to save a call per candidate.
+one tile lie side by side in memory; tiles serve that locality only.
+digest(), which caches pin, hashes the graded keys, the slice sizes and
+each count's residue mod 2**61 - 1, row by row.  A sampler reads a
+table by id: moves() lists the (step, target id) pairs out of one point,
+made once from the neighbour arrays; back() lists the moves a draw takes
+back out of one point, one step of a partition walk or one loop-free
+braid vertex (two moves), made once from moves(); and lookup() reads a
+count, so the build and the draw share one step rule.  The draw's inner
+loop reads the rows and back()'s memo directly, to save a call per
+candidate.
 
 This module also owns the chamber primitives the DP runs on (start_point
 and in_chamber, which `walks.py` re-exports) and session_table, which
@@ -66,9 +67,10 @@ cross-checks of these tables.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import accumulate, chain, islice, repeat, zip_longest
+from itertools import chain, islice, repeat, zip_longest
 from math import factorial
 from operator import add, getitem, mul, sub
 
@@ -254,20 +256,24 @@ def _walk_counts(k: int, max_len: int, loop_free: bool, ends, up, down):
 # per-point rows and the two count tables
 # ---------------------------------------------------------------------------
 
-TILE = 8  # lengths per tile: rows grow, and digest() serialises, by tiles
+TILE = 8  # lengths per tile: rows grow by tiles, for locality
+_MERSENNE_61 = (1 << 61) - 1
+# hash() of an int >= 0 is its residue mod 2**61 - 1 on 64-bit CPython
+_HASH_IS_RESIDUE = sys.hash_info.modulus == _MERSENNE_61
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _sha256():
     """A SHA-256 hasher from the interpreter's own module, like `random`
-    takes _sha512: hashlib would load OpenSSL for this one hash."""
+    takes _sha512: hashlib would load OpenSSL for this one hash.  The
+    module is named by version, as a failed import searches all of
+    sys.path (about 1 ms on a 2-vCPU machine)."""
     try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
-    return sha256()
+        module = __import__("_sha2" if sys.version_info >= (3, 12)
+                            else "_sha256")
+    except ImportError:  # an interpreter built without its own hashes
+        import hashlib as module
+    return module.sha256()
 
 
 class _PackedTable:
@@ -389,42 +395,25 @@ class _PackedTable:
         return sum(self._sizes)
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the graded keys and the counts, serialised
-        in tiles of TILE lengths: per tile, its counts interleaved by id
-        (entry i * TILE + j is the count of id i at the tile's j-th length,
-        empty past that length's prefix) as big-endian bytes, preceded by
-        the entries' offsets as decimal text.  The text does not depend on
-        the host's byte order, and it is the layout version 4 caches pin."""
+        """SHA-256 hex digest of the graded keys and the slice sizes, as
+        text, then of every count's residue mod 2**61 - 1, row by row (id
+        by id, each row from its first length on), as 8-byte
+        little-endian integers: the layout version 5 caches pin.  A
+        residue changes under any change of its count that is not a
+        multiple of 2**61 - 1."""
+        from array import array
+
+        # x -> x % (2**61 - 1), by hash() where that is the same
+        residue = hash if _HASH_IS_RESIDUE else _MERSENNE_61.__rmod__
         h = _sha256()
         h.update(repr(self._keys).encode())
-        for t in range(0, self.max_len + 1, TILE):
-            chunks = self._tile_chunks(t)
-            h.update(repr(list(accumulate(map(len, chunks), initial=0))).encode())
-            h.update(b"".join(chunks))
+        h.update(repr(self._sizes).encode())
+        for row in self._rows:
+            packed = array("q", list(map(residue, row)))  # a list fills faster
+            if _BIG_ENDIAN:
+                packed.byteswap()
+            h.update(packed)
         return h.hexdigest()
-
-    def _tile_chunks(self, t: int) -> list[bytes]:
-        """The entries of the tile of lengths t..t+TILE-1, for digest():
-        each id's counts at those lengths as big-endian bytes, a 0 as one
-        byte, and empty before the id's first length or past max_len."""
-        rows, first = self._rows, self._first
-        lens = self._sizes[t:t + TILE]
-        width, low = len(lens), lens[0]
-        pad = (None,) * (TILE - width)
-        # every length of the tile holds the ids its first one does
-        starts = list(map(sub, repeat(t), islice(first, low)))
-        vals = list(chain.from_iterable(map(
-            getitem, rows, map(slice, starts, map(add, starts, repeat(width))))))
-        if pad:
-            vals = list(chain.from_iterable(
-                map(add, zip(*[iter(vals)] * width), repeat(pad))))
-        for i in range(low, lens[-1]):  # ids the tile adds
-            row, at = rows[i], t - first[i]
-            vals += [row[at + j] if i < n else None for j, n in enumerate(lens)]
-            vals += pad
-        return [b"" if v is None
-                else v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
-                for v in vals]
 
     def lookup(self, i: int, s: int) -> int:
         """count() of point id i, unchecked: 0 before _first[i]."""

@@ -11,8 +11,9 @@ Vertices are 1-based throughout.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from itertools import combinations
+
+from .record import Record, _set
 
 
 class ArcStructureError(ValueError):
@@ -24,14 +25,16 @@ def _canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(canon, key=lambda b: b[0]))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A set partition of [n] in canonical form (blocks sorted by minimum,
     each one increasing).  The constructor trusts its arguments to be in
     that form; from_blocks puts any blocks in it and checks them."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
@@ -69,13 +72,15 @@ class Partition:
         return " ".join(f"({i},{j})" for i, j in self.arcs)
 
 
-@dataclass(frozen=True)
-class Braid:
+class Braid(Record):
     """An arc diagram over [n] allowing loops; each vertex is a left endpoint
     at most once and a right endpoint at most once."""
 
-    n: int
-    arcs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "arcs")
+
+    def __init__(self, n: int, arcs: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "arcs", arcs)
 
     @classmethod
     def from_arcs(cls, n: int, arcs) -> "Braid":
@@ -113,13 +118,16 @@ def parse_blocks_text(text: str) -> Partition:
     return Partition.from_blocks(n, blocks)
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(Record):
     """Largest set of mutually crossing arcs: m arcs with
     i_1 < ... < i_m < j_1 < ... < j_m."""
 
-    max_crossing: int
-    witness: tuple[tuple[int, int], ...]
+    __slots__ = ("max_crossing", "witness")
+
+    def __init__(self, max_crossing: int,
+                 witness: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "max_crossing", max_crossing)
+        _set(self, "witness", witness)
 
 
 def max_crossing(p: Partition) -> CrossingReport:

@@ -22,7 +22,6 @@ that the direct DP in `counting.py` must satisfy:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
@@ -38,6 +37,7 @@ from .counting import (
     total_regular,
 )
 from .diagrams import Partition, is_k_noncrossing, is_m_regular
+from .record import Record, _set
 from .walks import (
     BRAID_WALK,
     PARTITION_WALK,
@@ -465,14 +465,18 @@ class UniverseIndex:
         return self._index[key]
 
 
-@dataclass(frozen=True)
-class ChiSquareReport:
-    statistic: float
-    dof: int
-    threshold: float
-    alpha: float
-    passed: bool
-    max_rel_deviation: float
+class ChiSquareReport(Record):
+    __slots__ = ("statistic", "dof", "threshold", "alpha", "passed",
+                 "max_rel_deviation")
+
+    def __init__(self, statistic: float, dof: int, threshold: float,
+                 alpha: float, passed: bool, max_rel_deviation: float) -> None:
+        _set(self, "statistic", statistic)
+        _set(self, "dof", dof)
+        _set(self, "threshold", threshold)
+        _set(self, "alpha", alpha)
+        _set(self, "passed", passed)
+        _set(self, "max_rel_deviation", max_rel_deviation)
 
 
 def chi_square_uniformity(samples, universe: UniverseIndex,

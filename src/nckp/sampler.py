@@ -25,9 +25,9 @@ a do-nothing step added on either side is the partition walk of its
 the same way.  The count table needs only the lengths up to h, and any
 table that holds them serves the session.  The unranking reads each
 weight straight from the table's storage, one row of ints per point id
-(counting._PackedTable; its tiles of lengths are only the serialisation
-that cache digests hash), and a half walks back along a few points, so
-its reads stay on their rows.
+(counting._PackedTable, which lays each row's counts out a tile of
+lengths at a time so that they lie side by side), and a half walks back
+along a few points, so its reads stay on their rows.
 
 partition_weights, regular_weights and path_probability give the forward
 transition weights on shapes, as a reference; they read full-length
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 
@@ -66,6 +65,7 @@ from .counting import (
     walk_length,
 )
 from .diagrams import Partition
+from .record import Record, _set
 from .walks import (
     BRAID_WALK,
     PARTITION_WALK,
@@ -120,13 +120,16 @@ def uniform_below(total: int, rng: RandomBits) -> int:
             return u
 
 
-@dataclass(frozen=True)
-class TransitionWeights:
+class TransitionWeights(Record):
     """Candidate next steps with their exact completion counts."""
 
-    steps: tuple[int, ...]
-    weights: tuple[int, ...]
-    total: int
+    __slots__ = ("steps", "weights", "total")
+
+    def __init__(self, steps: tuple[int, ...], weights: tuple[int, ...],
+                 total: int) -> None:
+        _set(self, "steps", steps)
+        _set(self, "weights", weights)
+        _set(self, "total", total)
 
 
 class SamplerSession:

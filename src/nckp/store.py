@@ -1,11 +1,11 @@
 """Versioned on-disk cache for count tables: a manifest, not a dump.
 
-    nckp-tab 4
+    nckp-tab 5
     kind omega            (or sigma_star)
     k 3
     max_len 20
     entries 100
-    sha256 <hex digest of the table's serialised counts>
+    sha256 <hex digest of the table's keys, sizes and count residues>
 
 Kind omega is a ChamberTable (partition walks), sigma_star a LoopFreeTable
 (loop-free braid walks).  A sampler needs only the lengths up to the half
@@ -13,23 +13,29 @@ length of its walks (counting.half_lengths), so a cache of max_len L
 serves every n whose half length is at most L -- n <= L in plain mode,
 n <= L + 1 in regular mode.
 
-The file holds no counts.  The chamber DP rebuilds a table about as fast
-as the text of its counts can be parsed back (k=3, max_len=240, on a
-2-vCPU machine: 0.11-0.13 s against 0.12-0.13 s for int() over the 17 MB
-of decimal text alone), and counts read from disk would each have to be
-checked before a sampler could trust them.  So
-load_tables reads the six header lines, rebuilds the named table with
-ChamberTable.build, and accepts it only when its entry count and digest
-equal the recorded ones.  The digest covers the table's graded point ids
-and its counts, serialised in tiles of counting.TILE lengths: each tile's
-offsets and value bytes (see _PackedTable.digest; a table stores rows of
-ints, and the tiles exist only to be hashed).  A change of that
-serialisation or of what a table holds changes the version: version 3
-also named a horizon, version 2 pinned the digest of the earlier
-sorted-key slices and version 1 was a count dump.  A file that was
-edited, cut short, written by a DP that counts differently, or written in
-another version raises CacheError naming the file; `nckp cache build`
-writes a fresh one.
+The file holds no counts.  The chamber DP rebuilds a table faster than
+the text of its counts could be parsed back (k=3 on a 2-vCPU machine:
+at max_len 240, 0.11-0.16 s against 0.13-0.19 s for int() over the 17 MB
+of decimal text alone; at max_len 400, 0.55-0.81 s against 0.83-1.05 s
+for 128 MB), and counts read from disk would each have to be checked
+before a sampler could trust them.  So load_tables reads the six header
+lines, rebuilds the named table with ChamberTable.build, and accepts it
+only when its entry count and digest equal the recorded ones.
+
+The digest (_PackedTable.digest) exists to catch a DP that counts
+differently from the one that wrote the file.  It covers the table's
+graded point ids, its slice sizes and each count's residue mod
+2**61 - 1, which is hash() of the count on 64-bit CPython.  A residue
+catches any count error that is not a multiple of 2**61 - 1.  It costs
+less than the rebuild: 0.06-0.11 s at max_len 240 and 0.29-0.51 s at
+max_len 400, where version 4, which hashed every count's full bytes,
+took 1.0-1.2 s.  A change of that layout or of what a table holds
+changes the version: version 4 hashed the counts' bytes in tiles of
+lengths, version 3 also named a horizon, version 2 pinned the digest of
+the earlier sorted-key slices and version 1 was a count dump.  A file
+that was edited, cut short, written by a DP that counts differently, or
+written in another version raises CacheError naming the file; `nckp
+cache build` writes a fresh one.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 from .counting import ChamberTable, LoopFreeTable, TableLimitError
 
 MAGIC = "nckp-tab"
-VERSION = 4
+VERSION = 5
 FIELDS = ("kind", "k", "max_len", "entries", "sha256")
 KINDS = {"omega": ChamberTable, "sigma_star": LoopFreeTable}
 LINE_MAX = 128  # bytes, newline included; the sha256 line takes 72

@@ -18,9 +18,8 @@ on even steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import in_chamber, start_point
+from .record import Record, _set
 
 PARTITION_WALK = "P"
 BRAID_WALK = "B"
@@ -116,13 +115,15 @@ def legal_steps(
     return [0] + [-r for r in range(first, k) if padded[r - 1] > padded[r]]
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(Record):
     """A step sequence of one kind, starting from the empty shape."""
 
-    kind: str
-    k: int
-    steps: tuple[int, ...]
+    __slots__ = ("kind", "k", "steps")
+
+    def __init__(self, kind: str, k: int, steps: tuple[int, ...]) -> None:
+        _set(self, "kind", kind)
+        _set(self, "k", k)
+        _set(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)

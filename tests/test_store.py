@@ -1,5 +1,9 @@
+import sys
+
 import pytest
 
+from nckp import counting
+from nckp.cli import main
 from nckp.counting import ChamberTable, LoopFreeTable
 from nckp.store import CacheError, load_tables, save_tables
 
@@ -108,7 +112,7 @@ def test_manifest_names_the_table_and_holds_no_counts(tmp_path):
     path = tmp_path / "r.tab"
     save_tables(table, path)
     assert _lines(path) == [
-        "nckp-tab 4", "kind sigma_star", "k 3", "max_len 10",
+        "nckp-tab 5", "kind sigma_star", "k 3", "max_len 10",
         f"entries {table.entry_count()}", f"sha256 {table.digest()}",
     ]
 
@@ -156,28 +160,41 @@ def test_version_3_cache_asks_for_a_rebuild(tmp_path):
         load_tables(path)
 
 
-def _v4_digest(keys, slices):
-    """SHA-256 of the version 4 serialisation, written out independently of
-    the table's storage: the graded keys as text, then per tile of eight
-    lengths the counts interleaved by id (an empty chunk past a length's
-    prefix, a 0 as one byte) as big-endian bytes, after their offsets."""
+def test_version_4_cache_asks_for_a_rebuild(tmp_path, capsys):
+    """The manifest version 4 wrote for ChamberTable.build(3, 8), whose
+    digest hashed the counts' bytes in tiles of eight lengths."""
+    path = tmp_path / "t.tab"
+    table = ChamberTable.build(3, 8)
+    path.write_text("\n".join([
+        "nckp-tab 4", "kind omega", "k 3", "max_len 8",
+        f"entries {table.entry_count()}", "sha256 585aee047ee6d603de9289b293e8c"
+        "763f8ebbb118416eb7289dd038f583b25cc"]) + "\n")
+    with pytest.raises(CacheError, match="unsupported cache version 4 .*"
+                       "rebuild it with nckp cache build"):
+        load_tables(path)
+    code = main(["sample", "--k", "3", "--n", "8", "--count", "1",
+                 "--cache", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert str(path) in err and "version 4" in err
+
+
+P61 = 2**61 - 1
+
+
+def _v5_digest(keys, slices, order="little"):
+    """SHA-256 of the version 5 layout, written out independently of the
+    table's storage: the graded keys and the slice sizes as text, then id
+    by id its counts at each length that holds it, each reduced mod
+    2**61 - 1 with %, as 8 little-endian bytes (`order` swaps them)."""
     import hashlib
 
     h = hashlib.sha256(repr(keys).encode())
-    cols = [[d[key].to_bytes(max(1, (d[key].bit_length() + 7) // 8), "big")
-             for key in keys[:len(d)]] for d in slices]
-    for t in range(0, len(cols), 8):
-        tile = cols[t:t + 8]
-        tile += [[]] * (8 - len(tile))
-        chunks = []
-        for i in range(max(map(len, tile))):
-            for col in tile:
-                chunks.append(col[i] if i < len(col) else b"")
-        offsets = [0]
-        for chunk in chunks:
-            offsets.append(offsets[-1] + len(chunk))
-        h.update(repr(offsets).encode())
-        h.update(b"".join(chunks))
+    h.update(repr([len(d) for d in slices]).encode())
+    for i, key in enumerate(keys):
+        for d in slices:
+            if i < len(d):
+                h.update((d[key] % P61).to_bytes(8, order))
     return h.hexdigest()
 
 
@@ -195,12 +212,36 @@ def _graded_keys(table, last):
     return sorted(last, key=lambda key: (sum(table._unpack(key)), key))
 
 
+# the last three tables hold counts of 75 to 108 bits, past 2**61 - 1
 @pytest.mark.parametrize("cls, k, max_len", [
     (ChamberTable, 2, 21), (ChamberTable, 3, 16), (ChamberTable, 3, 21),
     (ChamberTable, 4, 13), (ChamberTable, 5, 11),
     (LoopFreeTable, 3, 22), (LoopFreeTable, 4, 14),
+    (ChamberTable, 3, 80), (ChamberTable, 5, 50), (LoopFreeTable, 4, 64),
 ])
-def test_digest_is_the_version_4_serialisation(cls, k, max_len):
+def test_digest_is_the_version_5_layout(cls, k, max_len):
     table = cls.build(k, max_len)
     slices = _dp_slices(table)
-    assert table.digest() == _v4_digest(_graded_keys(table, slices[-1]), slices)
+    assert table.digest() == _v5_digest(_graded_keys(table, slices[-1]), slices)
+
+
+def test_digest_without_hash_residues_is_the_same(monkeypatch):
+    """On an interpreter whose hash modulus is not 2**61 - 1 the digest
+    reduces each count with %, and must not change."""
+    tables = [ChamberTable.build(3, 80), LoopFreeTable.build(4, 64)]
+    assert all(max(map(max, t._rows)) > P61 for t in tables)
+    digests = [t.digest() for t in tables]
+    monkeypatch.setattr(counting, "_HASH_IS_RESIDUE", False)
+    assert [t.digest() for t in tables] == digests
+
+
+def test_digest_swaps_to_little_endian_on_a_big_endian_host(monkeypatch):
+    """Flipping the byte-order flag hashes each residue's bytes in the
+    other order: the swap that turns a big-endian host's native bytes into
+    the little-endian layout."""
+    table = ChamberTable.build(3, 80)
+    slices = _dp_slices(table)
+    keys = _graded_keys(table, slices[-1])
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(counting, "_BIG_ENDIAN", not counting._BIG_ENDIAN)
+    assert table.digest() == _v5_digest(keys, slices, other)
