@@ -10,8 +10,10 @@ W = {v : v_1 > v_2 > ... > v_{k-1} >= 0}:
                     that adds a box to row 1 and removes it again).
 
 Both tables, and the totals, number their chamber points once, in graded
-order: by box count, then by packed key, so the start point is id 0.  The
-step primitive is a pair of neighbour arrays over those ids: up[i][d] and
+order: by box count, then by coordinates (lexicographically), so the
+start point is id 0.  A point is a coordinate tuple throughout; only
+digest() packs points into ints, for the key text version 5 caches pin.  The step
+primitive is a pair of neighbour arrays over those ids: up[i][d] and
 down[i][d] are the ids of d + e_i and d - e_i, or a sentinel N when that
 point leaves the chamber (stops being strictly decreasing and >= 0) or
 the numbering.  Every point with at most _box_bound(s) boxes has a walk
@@ -44,12 +46,11 @@ draw, which reads lengths s, s-1, ... of the few points it walks along,
 stays on their rows.  The rows grow a tile of TILE lengths at a time, by
 fresh copies of the DP's counts made id by id, so that a row's counts of
 one tile lie side by side in memory; tiles serve that locality only.
-digest(), which caches pin, hashes the graded keys, the slice sizes and
+digest(), which caches pin, hashes the graded points, the slice sizes and
 each count's residue mod 2**61 - 1, row by row.  A sampler reads a
-table by id: moves() lists the (step, target id) pairs out of one point,
-made once from the neighbour arrays; back() lists the moves a draw takes
-back out of one point, one step of a partition walk or one loop-free
-braid vertex (two moves), made once from moves(); and lookup() reads a
+table by id: back() lists the moves a draw takes back out of one point,
+one step of a partition walk or one loop-free braid vertex (two steps),
+made once from the neighbour arrays by _steps; and lookup() reads a
 count, so the build and the draw share one step rule.  The draw's inner
 loop reads the rows and back()'s memo directly, to save a call per
 candidate.
@@ -68,11 +69,10 @@ cross-checks of these tables.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from itertools import chain, islice, repeat, zip_longest
-from math import factorial
-from operator import add, getitem, mul, sub
+from operator import add, getitem, lshift, mul, sub
 
 
 class TableLimitError(RuntimeError):
@@ -86,7 +86,7 @@ class InvariantError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# chamber points and their packing
+# chamber points and table sizes
 # ---------------------------------------------------------------------------
 
 def start_point(k: int) -> tuple[int, ...]:
@@ -103,27 +103,10 @@ def in_chamber(v: tuple[int, ...]) -> bool:
 
 
 def _coord_bits(k: int, max_len: int) -> int:
+    """Bits per coordinate of a point packed as a version 5 key: room for
+    the largest coordinate a table of max_len can hold, and one bit more."""
     top = (k - 2) + (max_len + 3) // 2
     return max(4, top.bit_length() + 1)
-
-
-def _packer(k: int, bits: int):
-    """pack/unpack between coordinate tuples and ints; lexicographic order
-    on tuples equals numeric order on packed keys."""
-    shifts = tuple(bits * (k - 2 - i) for i in range(k - 1))
-
-    def pack(v: tuple[int, ...]) -> int:
-        key = 0
-        for x, sh in zip(v, shifts):
-            key |= x << sh
-        return key
-
-    mask = (1 << bits) - 1
-
-    def unpack(key: int) -> tuple[int, ...]:
-        return tuple((key >> sh) & mask for sh in shifts)
-
-    return pack, unpack, shifts
 
 
 def _box_bound(s: int, braid: bool) -> int:
@@ -132,27 +115,32 @@ def _box_bound(s: int, braid: bool) -> int:
     return (s + braid) // 2
 
 
-def _points_upto(k: int, b: int) -> int:
-    """Rough count of the chamber points holding at most b boxes: a shape
-    of b boxes fills at most r = min(k-1, b) rows, and there are about
-    (b + r + 1)^r / (r!)^2 of them, whatever the size of k."""
-    r = min(k - 1, b)
-    return (b + r + 1) ** r // factorial(r) ** 2
-
-
 def _estimate_entries(k: int, max_len: int, braid: bool, limit: int) -> int:
-    """Rough upper bound on the table's size in entries: the k-1
-    coordinates of each numbered point, then the stored states of every
-    slice.  The coordinates come first, so a k the budget cannot hold fails
-    here, before any point of k-1 coordinates is made; the sum stops as soon
-    as it passes `limit`, so a huge max_len costs no more than the lengths
-    it takes to get there."""
-    total = (k - 1) * _points_upto(k, _box_bound(max_len, braid))
-    for s in range(max_len + 1):
-        if total > limit:
+    """The table's size in entries: the k-1 coordinates of each numbered
+    point, then the counts of every slice.  The points of b boxes are the
+    shapes of b boxes in at most k-1 rows, as many as the partitions of b
+    into parts of at most k-1 (their conjugates), and each is held from
+    length max(0, 2b - braid) on.  The sum runs up the box counts and is
+    exact, or stops at the first b where its running lower bound (the
+    coordinates and the counts of the points so far) passes `limit`, so a
+    huge k or max_len costs no more than the boxes it takes to get there:
+    at b = 0 the coordinates alone catch a huge k, and the counts of the
+    start point a huge max_len."""
+    parts = [[1]]  # parts[j][b]: partitions of b into parts of at most j
+    points = total = 0
+    for b in range(_box_bound(max_len, braid) + 1):
+        if 0 < b < k:  # parts of b fit from now on
+            parts.append(parts[-1][:])
+        fewer = 0  # partitions of b > 0 into parts of at most j - 1
+        for j in range(1, len(parts)):
+            fewer += parts[j][b - j]
+            parts[j].append(fewer)
+        here = parts[-1][b]
+        points += here
+        total += here * (max_len + 1 - max(0, 2 * b - braid))
+        if (k - 1) * points + total > limit:
             break
-        total += _points_upto(k, _box_bound(s, braid))
-    return total
+    return (k - 1) * points + total
 
 
 MAX_ENTRIES = 80_000_000  # size budget of a table, in entries
@@ -160,11 +148,11 @@ MAX_ENTRIES = 80_000_000  # size budget of a table, in entries
 
 def _check_size(k: int, max_len: int, braid: bool) -> None:
     """TableLimitError, before any work, when the table of these
-    parameters is estimated past MAX_ENTRIES entries."""
+    parameters would hold more than MAX_ENTRIES entries."""
     if _estimate_entries(k, max_len, braid, MAX_ENTRIES) > MAX_ENTRIES:
         raise TableLimitError(
             f"{'loop-free' if braid else 'chamber'} table for k={k},"
-            f" max_len={max_len} is estimated at more than {MAX_ENTRIES} entries"
+            f" max_len={max_len} would hold more than {MAX_ENTRIES} entries"
         )
 
 
@@ -183,36 +171,36 @@ def half_lengths(walk_len: int, braid: bool) -> tuple[int, int]:
 
 def _grade(k: int, max_len: int, braid: bool):
     """Number the chamber points of a table of max_len by box count, then
-    packed key, and return (keys, ends, up, down): keys[d] is the packed
-    point of id d, ends[b] the number of ids holding at most b boxes, and
-    up[i][d] (down[i][d]) the id of d + e_i (d - e_i), or the sentinel
-    N = len(keys) when that point lies outside the chamber or past the
-    numbering.  The DP, moves() and back() read only these arrays."""
-    bits = _coord_bits(k, max_len)
-    pack, _, shifts = _packer(k, bits)
-    mask = (1 << bits) - 1
-    ones = [1 << sh for sh in shifts]
-    keys = [pack(start_point(k))]
+    coordinates, and return (keys, ids, ends, up, down): keys[d] is the
+    point of id d and ids the inverse map, ends[b] the number of ids
+    holding at most b boxes, and up[i][d] (down[i][d]) the id of d + e_i
+    (d - e_i), or the sentinel N = len(keys) when that point lies outside
+    the chamber or past the numbering.  The DP and back() read only these
+    arrays."""
+    keys = [start_point(k)]
     ends = [1]
     level = keys
     for _ in range(_box_bound(max_len, braid)):
         nxt = set()
-        for key in level:  # add(i) keeps v_{i-1} > v_i
-            c = [(key >> sh) & mask for sh in shifts]
-            nxt.update(key + ones[i] for i in range(k - 1)
-                       if i == 0 or c[i - 1] - c[i] > 1)
+        for v in level:  # add(i) keeps v_{i-1} > v_i
+            nxt.update(v[:i] + (v[i] + 1,) + v[i + 1:] for i in range(k - 1)
+                       if i == 0 or v[i - 1] - v[i] > 1)
         level = sorted(nxt)
         keys += level
         ends.append(len(keys))
     n = len(keys)
     ids = dict(zip(keys, range(n)))
-    # Coordinates stay below mask // 2 + 1: an add never carries, and a
-    # borrow out of a 0 leaves a coordinate of mask, which no id holds.
-    up = [list(map(ids.get, map(add, keys, repeat(one)), repeat(n)))
-          for one in ones]
-    down = [list(map(ids.get, map(sub, keys, repeat(one)), repeat(n)))
-            for one in ones]
-    return keys, ends, up, down
+    cols = list(zip(*keys))
+    up = [list(map(ids.get, zip(*cols[:i], map(add, cols[i], repeat(1)),
+                                *cols[i + 1:]), repeat(n)))
+          for i in range(k - 1)]
+    # d - e_i is a point of the numbering exactly when d is d - e_i + e_i
+    down = []
+    for near in up:
+        inverse = [n] * (n + 1)  # the sentinel's slot n takes the misses
+        deque(map(inverse.__setitem__, near, range(n)), 0)  # at C level
+        down.append(inverse[:n])
+    return keys, ids, ends, up, down
 
 
 def _gather(src: list, n: int, terms) -> list:
@@ -285,9 +273,9 @@ class _PackedTable:
     _first[i] is the first length that holds i.  A draw walks along a few
     points, reading each one's row at lengths s, s-1, ..., so its reads
     stay on those rows.  Built once, immutable afterwards (but for the
-    moves() and back() memos, which only grow) and safe to share, memos
-    included.  count() takes a point and checks it; moves(), back() and
-    lookup() take point ids and do not check.
+    back() memo, which only grows) and safe to share, memo included.
+    count() takes a point and checks it; back() and lookup() take point
+    ids and do not check.
     """
 
     braid = False
@@ -300,9 +288,8 @@ class _PackedTable:
         or a slice holds more or fewer ids."""
         self.k = k
         self.max_len = max_len
-        self._pack, self._unpack, _ = _packer(k, _coord_bits(k, max_len))
         self._base = sum(start_point(k))
-        self._keys, self._ends, self._up, self._down = _grade(
+        self._keys, self._ids, self._ends, self._up, self._down = _grade(
             k, max_len, self.braid)
         # length -> ids it holds, and id -> first length that holds it
         self._sizes = [self._ends[_box_bound(s, self.braid)]
@@ -331,11 +318,10 @@ class _PackedTable:
         for i, row in enumerate(rows):
             rows[i] = tuple(row)
         self._rows: list[tuple[int, ...]] = rows
-        # _make_moves memo, by adding + 2 * after_top, then id
-        self._moves = [[None] * len(self._keys) for _ in range(4)]
         # _make_back memo, by the parity of the length, then id: a step back
         # out of an odd length adds; a braid vertex ends on an even length
-        self._back = [[None] * len(rows)] * 2 if self.braid else self._moves[:2]
+        self._back = ([[None] * len(rows)] * 2 if self.braid
+                      else [[None] * len(rows) for _ in range(2)])
 
     def _extend_rows(self, rows: list, cols: list, lo: int) -> None:
         """Append lengths lo, lo+1, ..., `cols` holding each one's counts
@@ -372,7 +358,7 @@ class _PackedTable:
             )
         if sum(v) - self._base > _box_bound(s, self.braid):
             return 0
-        return self.lookup(self.point_id(v), s)
+        return self.lookup(self.point_id(tuple(v)), s)
 
     def midpoint_weights(self, walk_len: int) -> list[int]:
         """By point id v, f(v, m) * f(v, h) for the cut (m, h) of
@@ -389,24 +375,30 @@ class _PackedTable:
         increasing point order."""
         keys, vals = self._keys, self._column(s)
         for i in sorted(range(len(vals)), key=keys.__getitem__):
-            yield self._unpack(keys[i]), vals[i]
+            yield keys[i], vals[i]
 
     def entry_count(self) -> int:
         return sum(self._sizes)
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the graded keys and the slice sizes, as
+        """SHA-256 hex digest of the graded points and the slice sizes, as
         text, then of every count's residue mod 2**61 - 1, row by row (id
         by id, each row from its first length on), as 8-byte
-        little-endian integers: the layout version 5 caches pin.  A
+        little-endian integers: the layout version 5 caches pin.  The text
+        writes each point as a packed key, its coordinates in
+        _coord_bits(k, max_len) bits apiece, the first highest.  A
         residue changes under any change of its count that is not a
         multiple of 2**61 - 1."""
         from array import array
 
+        bits = _coord_bits(self.k, self.max_len)
+        keys = repeat(0)
+        for col in zip(*self._keys):
+            keys = map(add, map(lshift, keys, repeat(bits)), col)
         # x -> x % (2**61 - 1), by hash() where that is the same
         residue = hash if _HASH_IS_RESIDUE else _MERSENNE_61.__rmod__
         h = _sha256()
-        h.update(repr(self._keys).encode())
+        h.update(repr(list(keys)).encode())
         h.update(repr(self._sizes).encode())
         for row in self._rows:
             packed = array("q", list(map(residue, row)))  # a list fills faster
@@ -420,35 +412,22 @@ class _PackedTable:
         at = s - self._first[i]
         return self._rows[i][at] if at >= 0 else 0
 
-    def moves(self, i: int, s: int, adding: bool,
-              after_top: bool = False) -> tuple[tuple[int, int], ...]:
-        """(step, target id) of each move the DP makes out of point id i
-        onto slice s, in the step order of `walks.legal_steps`; after_top
-        drops remove(1), which may not follow add(1) in a loop-free walk.
-        The moves of each (i, adding, after_top) are made once, less the
-        targets past the table's numbering, and cut here to the ids slice s
-        holds."""
-        found, last = (self._moves[adding + 2 * after_top][i]
-                       or self._make_moves(i, adding, after_top))
-        n = self._sizes[s]
-        return found if last < n else tuple(m for m in found if m[1] < n)
-
-    def _make_moves(self, i: int, adding: bool, after_top: bool):
-        """Fill and return _moves[adding + 2 * after_top][i]: the moves out
-        of id i read from the neighbour arrays, the do-nothing step first,
-        and the largest target id, which tells moves() whether to cut them."""
+    def _steps(self, i: int, adding: bool, after_top: bool) -> tuple:
+        """(step, target id) of each step out of point id i, read from the
+        neighbour arrays in the step order of `walks.legal_steps`: the
+        do-nothing step first, then an add (or remove) on each row, less
+        the targets past the table's numbering.  after_top drops remove(1),
+        which may not follow add(1) in a loop-free walk."""
         near, sign = (self._up, 1) if adding else (self._down, -1)
-        found = ((0, i),) + tuple((sign * (r + 1), near[r][i])
-                                  for r in range(after_top, self.k - 1)
-                                  if near[r][i] < len(self._keys))
-        memo = (found, max(t for _, t in found))
-        self._moves[adding + 2 * after_top][i] = memo
-        return memo
+        n = len(self._keys)
+        return ((0, i),) + tuple((sign * (r + 1), near[r][i])
+                                 for r in range(after_top, self.k - 1)
+                                 if near[r][i] < n)
 
     def back(self, i: int, s: int) -> tuple:
         """(undo, origin id) of each move a draw takes back out of point id
         i at length s onto length s - 1 - braid, in the step order of
-        moves(): one step of a partition walk, whose undo is a step code,
+        _steps(): one step of a partition walk, whose undo is a step code,
         or one loop-free braid vertex (s even), whose undo is the pair
         (undo remove, undo add).  The moves of each (id, parity of s) are
         made once, in _back[s & 1][i] by _make_back, and cut here to the
@@ -458,17 +437,12 @@ class _PackedTable:
         return found if last < n else tuple(m for m in found if m[1] < n)
 
     def point(self, i: int) -> tuple[int, ...]:
-        return self._unpack(self._keys[i])
+        return self._keys[i]
 
     def point_id(self, v: tuple[int, ...]) -> int:
-        """The id of a chamber point that some slice can hold, found among
-        the ids of its box count, which hold their points in key order."""
-        boxes, key, ends = sum(v) - self._base, self._pack(v), self._ends
-        i = bisect_left(self._keys, key, ends[boxes - 1] if boxes else 0,
-                        ends[boxes])
-        if self._keys[i:i + 1] != [key]:
-            raise KeyError(v)
-        return i
+        """The id of a chamber point that some slice can hold; KeyError for
+        any other tuple."""
+        return self._ids[v]
 
 
 class ChamberTable(_PackedTable):
@@ -477,8 +451,12 @@ class ChamberTable(_PackedTable):
     count = _PackedTable.count  # own attribute, so it can be wrapped per class
 
     def _make_back(self, i: int, parity: int):
-        """_make_moves(i, parity, False), whose memo _back[parity] is."""
-        return self._make_moves(i, parity, False)
+        """Fill and return _back[parity][i]: the steps out of id i, adds
+        at an odd length (whose partition-walk step removed), and the
+        largest origin id, which tells back() whether to cut them."""
+        found = self._steps(i, parity, False)
+        memo = self._back[parity][i] = (found, max(t for _, t in found))
+        return memo
 
     @classmethod
     def build(cls, k: int, max_len: int, *, loop_free: bool = False):
@@ -510,15 +488,11 @@ class LoopFreeTable(_PackedTable):
         that vertex would be a loop.  At an even length s an origin of at
         most _box_bound(s - 2) boxes has a middle point of at most one box
         more, which length s - 1 holds, so only origins need cutting."""
-        def made(j, adding, after_top):  # moves() of id j, uncut
-            return (self._moves[adding + 2 * after_top][j]
-                    or self._make_moves(j, adding, after_top))[0]
-
+        steps = self._steps
         found = tuple(((undo_remove, undo_add), prev)
-                      for undo_remove, mid in made(i, True, False)
-                      for undo_add, prev in made(mid, False, undo_remove == 1))
-        memo = (found, max(prev for _, prev in found))
-        self._back[parity][i] = memo
+                      for undo_remove, mid in steps(i, True, False)
+                      for undo_add, prev in steps(mid, False, undo_remove == 1))
+        memo = self._back[parity][i] = (found, max(t for _, t in found))
         return memo
 
     @classmethod
@@ -570,7 +544,7 @@ def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
         return sum(table.midpoint_weights(walk_len))
     m, h = half_lengths(walk_len, braid)
     _check_size(k, h, braid)
-    _, ends, up, down = _grade(k, h, braid)
+    _, _, ends, up, down = _grade(k, h, braid)
     for s, counts in enumerate(_walk_counts(k, h, braid, ends, up, down)):
         if s == m:
             first = counts

@@ -15,8 +15,13 @@ that the direct DP in `counting.py` must satisfy:
 * loop_free_even_count  loop-free braid counts by inclusion-exclusion over
                         the number of loop vertices;
 * chamber_count         a tuple-keyed chamber DP that shares no code with
-                        the packed engine (chamber_slices gives its whole
-                        slices).
+                        the engine's id-numbered DP (chamber_slices gives
+                        its whole slices).
+
+Every point here is a coordinate tuple, as in the engine's API.  The
+module takes only public names from `counting.py` (the tables, their
+errors and the totals it checks), so no private helper of the engine
+can hide a shared mistake.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from .counting import (
     InvariantError,
     LoopFreeTable,
     TableLimitError,
-    _coord_bits,
-    _packer,
     total_partitions,
     total_regular,
 )
@@ -196,27 +199,22 @@ def brute_walk_count(
 # orthant counts and the reflection sum
 # ---------------------------------------------------------------------------
 
-def _advance_slice(prev: dict, shifts, bits: int, adding: bool) -> dict:
-    """One step of the orthant recursion on packed-int keyed slices.
+def _advance_slice(prev: dict, adding: bool) -> dict:
+    """One step of the orthant recursion on tuple-keyed slices.
 
-    prev maps packed point -> count at length s-1; the result is the same
-    map at length s.  Remove steps require the touched coordinate to be
-    positive; nothing else constrains an orthant walk.
+    prev maps point -> count at length s-1; the result is the same map at
+    length s.  Remove steps require the touched coordinate to be positive;
+    nothing else constrains an orthant walk.
     """
     out: dict = {}
     get = out.get
-    mask = (1 << bits) - 1
-    ones = tuple(1 << sh for sh in shifts)
-    for key, val in prev.items():
-        out[key] = get(key, 0) + val
-        for one, sh in zip(ones, shifts):
-            if adding:
-                q = key + one
-            elif (key >> sh) & mask:
-                q = key - one
-            else:
-                continue
-            out[q] = get(q, 0) + val
+    delta = 1 if adding else -1
+    for v, val in prev.items():
+        out[v] = get(v, 0) + val
+        for i, x in enumerate(v):
+            if adding or x:
+                q = v[:i] + (x + delta,) + v[i + 1:]
+                out[q] = get(q, 0) + val
     return out
 
 
@@ -258,14 +256,10 @@ def build_orthant_table(
             f"orthant table for k={k}, max_len={max_len} needs ~{est} entries"
             f" (limit {max_entries})"
         )
-    bits = _coord_bits(k, max_len)
-    pack, unpack, shifts = _packer(k, bits)
-    cur = {pack(start_point(k)): 1}
     slices = [{start_point(k): 1}]
     for s in range(1, max_len + 1):
         adding = step_class(s, PARTITION_WALK) == "add"
-        cur = _advance_slice(cur, shifts, bits, adding)
-        slices.append({unpack(key): val for key, val in cur.items()})
+        slices.append(_advance_slice(slices[-1], adding))
     return OrthantTable(k, max_len, slices)
 
 

@@ -24,8 +24,11 @@ only when its entry count and digest equal the recorded ones.
 
 The digest (_PackedTable.digest) exists to catch a DP that counts
 differently from the one that wrote the file.  It covers the table's
-graded point ids, its slice sizes and each count's residue mod
-2**61 - 1, which is hash() of the count on 64-bit CPython.  A residue
+points in id order, as the text of their version 5 keys (each point's
+coordinates packed counting._coord_bits(k, max_len) bits apiece, the
+first highest; digest() is the only place a point is packed), its
+slice sizes and each count's residue mod 2**61 - 1, which is hash() of
+the count on 64-bit CPython.  A residue
 catches any count error that is not a multiple of 2**61 - 1.  It costs
 less than the rebuild: 0.06-0.11 s at max_len 240 and 0.29-0.51 s at
 max_len 400, where version 4, which hashed every count's full bytes,

@@ -425,7 +425,13 @@ def test_oversized_table_is_a_usage_error(capsys, tmp_path):
                  ("cache", "build", "--k", "3", "--n", "10000000", "--out",
                   str(tmp_path / "c.tab")),
                  ("count", "--k", "100000000", "--n", "4"),
-                 ("sample", "--k", "100000000", "--n", "4", "--count", "1")):
+                 ("sample", "--k", "100000000", "--n", "4", "--count", "1"),
+                 # k - 1 near n/2: every shape of up to n/2 boxes
+                 *((*cmd, "--k", k, "--n", k, *mode)
+                   for k in ("100", "200") for mode in ((), ("--regular",))
+                   for cmd in (("count",), ("sample", "--count", "1"),
+                               ("cache", "build", "--out",
+                                str(tmp_path / "c.tab"))))):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 5

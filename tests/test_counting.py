@@ -166,18 +166,37 @@ def test_table_limit_guard():
 
 def test_oversized_table_fails_fast():
     for loop_free in (False, True):
-        for k, max_len in ((3, 10**12), (10**8, 8)):
+        for k, max_len in ((2, 10**12), (3, 10**12), (10**8, 8), (100, 100),
+                           (200, 200)):
+            if loop_free and k < 3:
+                continue
             start = time.perf_counter()
             with pytest.raises(TableLimitError):
                 ChamberTable.build(k, max_len, loop_free=loop_free)
             assert time.perf_counter() - start < 1
 
 
+def test_size_estimate_is_exact():
+    """Under a limit it cannot reach, the estimate is the table's size: the
+    k-1 coordinates of each numbered point plus its entry count."""
+    from nckp.counting import _estimate_entries
+
+    for k in range(2, 9):
+        for loop_free in (False, True):
+            if loop_free and k < 3:
+                continue
+            for max_len in range(24 - 2 * k):
+                table = ChamberTable.build(k, max_len, loop_free=loop_free)
+                size = (k - 1) * len(table._keys) + table.entry_count()
+                assert _estimate_entries(k, max_len, loop_free,
+                                         10**9) == size, (k, loop_free, max_len)
+
+
 def test_count_checks_its_arguments():
     for table in (ChamberTable.build(3, 8), LoopFreeTable.build(3, 8)):
         # more boxes than two steps can add: a zero, not a lookup
         assert table.count((5, 0), 2) == 0
-        assert table.count((1, 0), 0) == 1
+        assert table.count((1, 0), 0) == table.count([1, 0], 0) == 1
         for v in ((0, 1), (1, 1), (2, 1, 0), (1, -1)):
             with pytest.raises(ValueError, match="chamber"):
                 table.count(v, 2)
@@ -319,8 +338,9 @@ def test_loop_free_matches_inclusion_exclusion():
 
 
 def test_moves_follow_legal_steps():
-    """The table's moves out of one point are the legal steps of its shape,
-    in the same order, with remove(1) left out after add(1)."""
+    """The table's steps out of one point (_steps, which back() builds on)
+    are the legal steps of its shape, in the same order, with remove(1)
+    left out after add(1)."""
     from nckp.walks import (
         BRAID_WALK, PARTITION_WALK, apply_step, legal_steps, point_to_shape,
         shape_to_point,
@@ -341,7 +361,7 @@ def test_moves_follow_legal_steps():
                     adding = (parity == "odd") == table.braid
                     steps = legal_steps(rows, k, parity, kind,
                                         forbid_loop_after=1 if top else None)
-                    moves = table.moves(table.point_id(v), 20, adding, top)
+                    moves = table._steps(table.point_id(v), adding, top)
                     assert [(st, table.point(q)) for st, q in moves] == [
                         (st, shape_to_point(apply_step(rows, st), k))
                         for st in steps
@@ -419,14 +439,19 @@ for table in (ChamberTable.build(3, 12), LoopFreeTable.build(3, 12)):
 def test_back_is_the_moves_of_a_step_or_vertex():
     """back(i, s), memoised whole and cut near the table's edge, lists the
     moves a draw takes back out of id i at length s: on a chamber table
-    moves() onto length s-1, on a loop-free one (s even) the braid
-    vertices moves() composes, undo a remove onto length s-1, then an add
-    onto length s-2, with no remove(1) after add(1)."""
+    the steps onto length s-1 (adds when s is odd), on a loop-free one
+    (s even) the braid vertices the steps compose, undo a remove onto
+    length s-1, then an add onto length s-2, with no remove(1) after
+    add(1).  Each target must be held by the length it lands on."""
+    def onto(table, i, t, adding, after_top=False):
+        return tuple(m for m in table._steps(i, adding, after_top)
+                     if m[1] < table._sizes[t])
+
     for k, max_len in ((2, 13), (3, 15), (4, 12), (5, 10)):
         table = ChamberTable.build(k, max_len)
         for s in range(1, max_len + 1):
             for i in range(len(table._keys)):
-                assert table.back(i, s) == table.moves(i, s - 1, s & 1), (
+                assert table.back(i, s) == onto(table, i, s - 1, s & 1), (
                     k, i, s)
     for k, max_len in ((3, 14), (4, 12), (5, 10)):
         table = LoopFreeTable.build(k, max_len)
@@ -434,18 +459,32 @@ def test_back_is_the_moves_of_a_step_or_vertex():
             for i in range(len(table._keys)):
                 assert table.back(i, s) == tuple(
                     ((undo_remove, undo_add), prev)
-                    for undo_remove, mid in table.moves(i, s - 1, True)
-                    for undo_add, prev in table.moves(mid, s - 2, False,
-                                                      undo_remove == 1)
+                    for undo_remove, mid in onto(table, i, s - 1, True)
+                    for undo_add, prev in onto(table, mid, s - 2, False,
+                                               undo_remove == 1)
                 ), (k, i, s)
 
 
 def test_moves_drop_points_the_slice_cannot_hold():
     table = ChamberTable.build(3, 6)
     start = table.start_id
-    # at length 1 no point holds a box, so only the do-nothing step is left
-    assert [st for st, _ in table.moves(start, 1, True)] == [0]
-    assert [st for st, _ in table.moves(start, 2, True)] == [0, 1]
+    # back from length 1 lands on length 0, where no point holds a box, so
+    # only the do-nothing step is left; length 2 holds one box
+    assert [st for st, _ in table.back(start, 1)] == [0]
+    assert [st for st, _ in table.back(start, 3)] == [0, 1]
+    # a braid vertex back from length 2 must land on the start point: add(1)
+    # then remove(1) would do it, but that vertex is a loop
+    table = LoopFreeTable.build(3, 6)
+    assert table.back(table.start_id, 2) == (((0, 0), table.start_id),)
+
+
+def test_point_id_refuses_points_no_slice_holds():
+    """A point of the wrong length, one past the numbering and one outside
+    the chamber each raise KeyError."""
+    table = ChamberTable.build(3, 8)
+    for v in ((1,), (30, 0), (2, 2)):
+        with pytest.raises(KeyError):
+            table.point_id(v)
 
 
 def _shapes_upto(rows, boxes, widest=None):
@@ -492,9 +531,10 @@ def test_engine_slices_are_the_graded_prefixes():
             if loop_free and k < 3:
                 continue
             max_len = 14 if k < 6 else 10
-            keys, ends, up, down = _grade(k, max_len, loop_free)
+            keys, ids, ends, up, down = _grade(k, max_len, loop_free)
             table = ChamberTable.build(k, max_len, loop_free=loop_free)
-            assert table._keys == keys
+            assert table._keys == keys == list(ids)
+            assert keys == sorted(keys, key=lambda v: (sum(v), v))
             expected = chamber_slices(k, max_len, loop_free)
             counts = _walk_counts(k, max_len, loop_free, ends, up, down)
             for s, (got, want) in enumerate(zip(counts, expected)):
@@ -509,7 +549,7 @@ def test_neighbour_arrays_are_the_legal_steps():
     """up[i][d] and down[i][d] are the ids of the points one add or remove
     on coordinate i away from id d, as legal_steps and apply_step make
     them, and the sentinel N where that step is illegal or leaves the
-    numbering: every add out of the last box level reads it.  moves()
+    numbering: every add out of the last box level reads it.  _steps()
     lists the steps in legal_steps' order, with after_top leaving out
     remove(1)."""
     from nckp.counting import _box_bound
@@ -544,7 +584,7 @@ def test_neighbour_arrays_are_the_legal_steps():
                     for top in (False,) if adding else (False, True):
                         ends = {st: apply_step(rows, st) for st in legal_steps(
                             rows, k, parity, kind, 1 if top else None)}
-                        assert table.moves(d, max_len, adding, top) == tuple(
+                        assert table._steps(d, adding, top) == tuple(
                             (st, table.point_id(shape_to_point(end, k)))
                             for st, end in ends.items() if sum(end) <= bound)
             assert on_last_level > 0

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from nckp import oracle
 from nckp.diagrams import Partition
 from nckp.oracle import (
     UniverseIndex,
@@ -104,3 +108,18 @@ def test_run_verification_small():
     assert report["passed"]
     assert report["failed"] == 0
     assert all(c["pass"] for c in report["checks"])
+
+
+def test_oracle_imports_only_public_names_from_the_engine():
+    """The oracle cross-checks `counting.py`, so it may share the engine's
+    public API but no private helper, whose mistake it would then repeat."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("counting", "nckp.counting")
+                for alias in node.names]
+    assert imported, "the oracle no longer imports from nckp.counting"
+    assert [name for name in imported if name.startswith("_")] == []
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    assert "nckp.counting" not in modules

@@ -198,18 +198,39 @@ def _v5_digest(keys, slices, order="little"):
     return h.hexdigest()
 
 
+def _v5_key(v, bits):
+    """A point as the version 5 text writes it: its coordinates in `bits`
+    bits apiece, the first highest."""
+    key = 0
+    for x in v:
+        key = key << bits | x
+    return key
+
+
+def _coord_sum(key, bits):
+    """The sum of the coordinates packed in a version 5 key."""
+    total, mask = 0, (1 << bits) - 1
+    while key:
+        total += key & mask
+        key >>= bits
+    return total
+
+
 def _dp_slices(table):
     """The table's counts by the oracle's tuple-keyed DP, one {packed
-    point: count} dict per length."""
+    point: count} dict per length.  The packing is this file's own; it
+    shares only the field width with the table."""
     from nckp.oracle import chamber_slices
 
-    return [{table._pack(v): c for v, c in d.items()}
+    bits = counting._coord_bits(table.k, table.max_len)
+    return [{_v5_key(v, bits): c for v, c in d.items()}
             for d in chamber_slices(table.k, table.max_len, table.braid)]
 
 
 def _graded_keys(table, last):
     """The packed points of the last DP slice, by box count, then key."""
-    return sorted(last, key=lambda key: (sum(table._unpack(key)), key))
+    bits = counting._coord_bits(table.k, table.max_len)
+    return sorted(last, key=lambda key: (_coord_sum(key, bits), key))
 
 
 # the last three tables hold counts of 75 to 108 bits, past 2**61 - 1
