@@ -4,8 +4,10 @@ walks over Young-diagram shapes.
 
 `import nckp` loads no submodule.  Each name below loads its module on
 first use (PEP 562), so a command pays only for the code it runs:
-`nckp count` never imports the sampler, and nothing but `nckp verify` and
-the tests imports the oracles.
+`nckp count` never imports the sampler, and only `nckp verify`, the tests
+and a read of the paper's transition weights (path_probability,
+partition_weights, regular_weights, TransitionWeights, from here or from
+`nckp.sampler`) import the oracles.
 """
 
 __version__ = "0.1.0"
@@ -45,10 +47,6 @@ _EXPORTS = {
     "sampler": (
         "RandomBits",
         "SamplerSession",
-        "TransitionWeights",
-        "partition_weights",
-        "path_probability",
-        "regular_weights",
         "uniform_below",
     ),
     "store": ("CacheError", "load_tables", "save_tables"),
@@ -71,11 +69,15 @@ _EXPORTS = {
     ),
     "oracle": (
         "OrthantTable",
+        "TransitionWeights",
         "build_orthant_table",
         "chamber_count",
         "loop_free_even_count",
         "loop_free_odd_count",
+        "partition_weights",
+        "path_probability",
         "reflected_count",
+        "regular_weights",
         "signed_permutations",
     ),
 }

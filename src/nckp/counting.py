@@ -511,16 +511,12 @@ def walk_length(n: int, mode: str) -> int:
     return 2 * n if mode == "plain" else max(2 * (n - 1), 0)
 
 
-def _table_class(mode: str):
-    return ChamberTable if mode == "plain" else LoopFreeTable
-
-
 def session_table(k: int, n: int, mode: str, table=None):
     """The count table of a (k, n, mode) session: `table` once checked to
     hold both halves of the session's walks, or else a freshly built one of
     the half length."""
     walk_len = walk_length(n, mode)
-    table_cls = _table_class(mode)
+    table_cls = ChamberTable if mode == "plain" else LoopFreeTable
     half = half_lengths(walk_len, table_cls.braid)[1]
     if table is None:
         return table_cls.build(k, half)

@@ -16,7 +16,17 @@ that the direct DP in `counting.py` must satisfy:
                         the number of loop vertices;
 * chamber_count         a tuple-keyed chamber DP that shares no code with
                         the engine's id-numbered DP (chamber_slices gives
-                        its whole slices).
+                        its whole slices);
+* partition_weights,    the paper's Markov process on shapes: each step's
+  regular_weights       candidates weighted by their completions, read
+                        from full-length tables, whose ratios multiply to
+                        path_probability = 1/total for every complete walk
+                        (the draw unranks instead, in sampler.py).
+
+Two routes check the totals at lengths no enumeration reaches: the
+k = 3 counts follow a P-recursive relation of Bousquet-Melou and Xin
+(k3_totals), and the 2-regular counts of each k follow from the plain
+ones by inclusion-exclusion over gap-one arcs (gap_one_transform).
 
 Every point here is a coordinate tuple, as in the engine's API.  The
 module takes only public names from `counting.py` (the tables, their
@@ -29,7 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb
+from typing import TYPE_CHECKING
 
 from .counting import (
     ChamberTable,
@@ -44,11 +55,21 @@ from .record import Record, _set
 from .walks import (
     BRAID_WALK,
     PARTITION_WALK,
+    Walk,
+    apply_step,
     in_chamber,
     in_orthant,
+    legal_steps,
+    shape_to_point,
     start_point,
     step_class,
+    validate_walk,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .sampler import SamplerSession
 
 ENUM_GUARD = 13
 WALK_GUARD = 14
@@ -241,21 +262,38 @@ class OrthantTable:
         return self._slices[s].items()
 
 
+def _points_estimate(k: int, b: int, limit: int) -> int:
+    """(b + k)^(k-1) // (k-1)!, the state count estimate of a slice whose
+    points hold b boxes, or limit + 1 once the quotient is known to reach
+    that.  The quotient is the product of the factors (b + k)/j for j < k,
+    each above 1, so a partial product that reaches limit + 1 settles it
+    and a huge k costs a few factors, not a power of k-digit numbers."""
+    num = den = 1
+    for j in range(1, k):
+        num *= b + k
+        den *= j
+        if num >= (limit + 1) * den:
+            return limit + 1
+    return num // den
+
+
 def build_orthant_table(
     k: int, max_len: int, *, max_entries: int = 80_000_000
 ) -> OrthantTable:
     """All orthant walk counts up to max_len.  Raises TableLimitError when
-    the state count estimate exceeds max_entries."""
+    the state count estimate exceeds max_entries: the estimate is summed
+    over the lengths until it does, so the refusal costs no more than the
+    lengths it takes to get there."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    est = sum(
-        (s // 2 + k) ** (k - 1) // factorial(k - 1) for s in range(max_len + 1)
-    )
-    if est > max_entries:
-        raise TableLimitError(
-            f"orthant table for k={k}, max_len={max_len} needs ~{est} entries"
-            f" (limit {max_entries})"
-        )
+    est = 0
+    for s in range(max_len + 1):
+        est += _points_estimate(k, s // 2, max_entries)
+        if est > max_entries:
+            raise TableLimitError(
+                f"orthant table for k={k}, max_len={max_len} needs more than"
+                f" {max_entries} entries"
+            )
     slices = [{start_point(k): 1}]
     for s in range(1, max_len + 1):
         adding = step_class(s, PARTITION_WALK) == "add"
@@ -329,6 +367,173 @@ def loop_free_odd_count(lt: LoopFreeTable, v: tuple[int, ...], s: int) -> int:
         if in_chamber(q):
             total += lt.count(q, s - 1)
     return total
+
+
+# ---------------------------------------------------------------------------
+# totals by other routes
+# ---------------------------------------------------------------------------
+
+def k3_totals(n_max: int) -> list[int]:
+    """The 3-noncrossing partition counts C(0..n_max), from C(0) = C(1) = 1
+    by the P-recursive relation of Bousquet-Melou and Xin:
+
+        (n+6)(n+7) C(n+2) = 2(5n^2+32n+42) C(n+1) - 9n(n+3) C(n)
+
+    InvariantError if a step does not divide exactly."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    totals = [1, 1]
+    for n in range(n_max - 1):
+        rhs = (2 * (5 * n * n + 32 * n + 42) * totals[n + 1]
+               - 9 * n * (n + 3) * totals[n])
+        quotient, rest = divmod(rhs, (n + 6) * (n + 7))
+        if rest:
+            raise InvariantError(f"the k=3 recurrence leaves {rest} at n={n + 2}")
+        totals.append(quotient)
+    return totals[:n_max + 1]
+
+
+def gap_one_transform(plain: list[int]) -> list[int]:
+    """The 2-regular counts R(0..len(plain)-1) from the plain counts
+    P(0..) of the same k, by inclusion-exclusion over the n-1 gap-one
+    arcs (i, i+1) a partition of [n] may hold:
+
+        R(n) = sum_h (-1)^h C(n-1, h) P(n-h),  R(0) = 1
+
+    Merging i+1 into i along h chosen gap-one arcs leaves a partition of
+    [n-h] with the same k-crossings, and every such partition comes back."""
+    regular = [1] if plain else []
+    for n in range(1, len(plain)):
+        total = 0
+        for h in range(n):
+            term = comb(n - 1, h) * plain[n - h]
+            total += -term if h % 2 else term
+        regular.append(total)
+    return regular
+
+
+# ---------------------------------------------------------------------------
+# the paper's forward transition weights
+# ---------------------------------------------------------------------------
+
+class TransitionWeights(Record):
+    """Candidate next steps with their exact completion counts."""
+
+    __slots__ = ("steps", "weights", "total")
+
+    def __init__(self, steps: tuple[int, ...], weights: tuple[int, ...],
+                 total: int) -> None:
+        _set(self, "steps", steps)
+        _set(self, "weights", weights)
+        _set(self, "total", total)
+
+
+@lru_cache(maxsize=8)
+def _full_table(k: int, walk_len: int, mode: str):
+    """A table of every length up to walk_len: the forward
+    weights below need completions that the session's half-length table
+    does not hold."""
+    return (ChamberTable if mode == "plain" else LoopFreeTable).build(k, walk_len)
+
+
+def partition_weights(session: SamplerSession, rows: tuple[int, ...],
+                      i: int) -> TransitionWeights:
+    """Weights for step i+1 of a plain walk from shape `rows` after i steps.
+
+    Candidate weight = completions from the candidate shape with 2n-(i+1)
+    steps left; the total equals the completions from `rows` itself.
+    """
+    if session.mode != "plain":
+        raise ValueError("partition_weights needs a plain-mode session")
+    k, length = session.k, session.walk_len
+    ct = _full_table(k, length, session.mode)
+    if not 0 <= i < length:
+        raise ValueError(f"position {i} outside 0..{length - 1}")
+    parity = "odd" if (i + 1) % 2 else "even"
+    cands = legal_steps(rows, k, parity, PARTITION_WALK)
+    weights = tuple(
+        ct.count(shape_to_point(apply_step(rows, st), k), length - i - 1)
+        for st in cands
+    )
+    total = ct.count(shape_to_point(rows, k), length - i)
+    return TransitionWeights(tuple(cands), weights, total)
+
+
+def regular_weights(session: SamplerSession, rows: tuple[int, ...], i: int,
+                    pending: int | None = None) -> TransitionWeights:
+    """Weights for step i+1 of a loop-free braid walk.
+
+    At even i the candidates are odd (add) steps; each is weighted by the
+    loop-free completions over both steps of the vertex, excluding the
+    remove(1) continuation after add(1).  At odd i the pending odd step
+    must be supplied and remove(1) is excluded exactly after add(1).
+    """
+    if session.mode != "regular":
+        raise ValueError("regular_weights needs a regular-mode session")
+    k, length = session.k, session.walk_len
+    lt = _full_table(k, length, session.mode)
+    if not 0 <= i < length:
+        raise ValueError(f"position {i} outside 0..{length - 1}")
+    if i % 2 == 0:
+        if pending is not None:
+            raise ValueError("pending step only applies at odd positions")
+        cands = legal_steps(rows, k, "odd", BRAID_WALK)
+        weights = []
+        for alpha in cands:
+            mid = apply_step(rows, alpha)
+            w = 0
+            for t in legal_steps(mid, k, "even", BRAID_WALK,
+                                 forbid_loop_after=alpha):
+                w += lt.count(shape_to_point(apply_step(mid, t), k),
+                              length - i - 2)
+            weights.append(w)
+        total = lt.count(shape_to_point(rows, k), length - i)
+        return TransitionWeights(tuple(cands), tuple(weights), total)
+    if pending is None:
+        raise ValueError("odd positions need the pending odd step")
+    cands = legal_steps(rows, k, "even", BRAID_WALK, forbid_loop_after=pending)
+    weights = tuple(
+        lt.count(shape_to_point(apply_step(rows, st), k), length - i - 1)
+        for st in cands
+    )
+    return TransitionWeights(tuple(cands), weights, sum(weights))
+
+
+def path_probability(session: SamplerSession, walk: Walk) -> Fraction:
+    """Exact probability of the session producing `walk`: the product of
+    its transition ratios.  Equals 1/total for every valid complete walk."""
+    from fractions import Fraction
+
+    expect_kind = PARTITION_WALK if session.mode == "plain" else BRAID_WALK
+    if walk.kind != expect_kind or walk.k != session.k:
+        raise ValueError(
+            f"walk kind {walk.kind!r} (k={walk.k}) does not fit a"
+            f" {session.mode} session with k={session.k}"
+        )
+    if len(walk.steps) != session.walk_len:
+        raise ValueError(
+            f"walk length {len(walk.steps)}, session expects {session.walk_len}"
+        )
+    validate_walk(walk, complete=True)
+    prob = Fraction(1)
+    rows: tuple[int, ...] = ()
+    pending = 0
+    for i, step in enumerate(walk.steps):
+        if session.mode == "plain":
+            tw = partition_weights(session, rows, i)
+        elif i % 2 == 0:
+            tw = regular_weights(session, rows, i)
+            pending = step
+        else:
+            tw = regular_weights(session, rows, i, pending)
+        if step not in tw.steps:
+            raise ValueError(f"step {i + 1} of the walk is not a candidate")
+        weight = tw.weights[tw.steps.index(step)]
+        if weight == 0:
+            return Fraction(0)
+        prob *= Fraction(weight, tw.total)
+        rows = apply_step(rows, step)
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +804,6 @@ def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
 
 def complete_partition_walks(k: int, n: int):
     """Every complete partition walk of length 2n, by DFS over legal steps."""
-    from .walks import Walk, legal_steps, apply_step
-
     out = []
     steps: list[int] = []
 

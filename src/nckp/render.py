@@ -13,11 +13,9 @@ _MARGIN = 20
 _LABEL_OFFSET = 16
 
 
-def _diagram_group(p: Partition, y_base: float) -> tuple[list[str], float]:
+def _diagram_group(p: Partition, y_base: float) -> list[str]:
     parts = []
     xs = {v: _MARGIN + (v - 1) * _VERTEX_GAP for v in range(1, p.n + 1)}
-    max_span = max((j - i for i, j in p.arcs), default=0)
-    top = y_base - (max_span * _VERTEX_GAP) / 2 - 6
     for i, j in p.arcs:
         x1, x2 = xs[i], xs[j]
         r = (x2 - x1) / 2
@@ -31,7 +29,7 @@ def _diagram_group(p: Partition, y_base: float) -> tuple[list[str], float]:
             f'<text x="{xs[v]}" y="{y_base + _LABEL_OFFSET}" font-size="10" '
             f'text-anchor="middle">{v}</text>'
         )
-    return parts, top
+    return parts
 
 
 def render_svg(partitions: list[Partition]) -> str:
@@ -43,8 +41,7 @@ def render_svg(partitions: list[Partition]) -> str:
         span = max((j - i for i, j in p.arcs), default=0)
         height = span * _VERTEX_GAP / 2 + 50
         y += height
-        body, _ = _diagram_group(p, y - 24)
-        rows.append("<g>" + "".join(body) + "</g>")
+        rows.append("<g>" + "".join(_diagram_group(p, y - 24)) + "</g>")
         width = max(width, _MARGIN * 2 + max(p.n - 1, 0) * _VERTEX_GAP)
     total_height = y + _MARGIN
     return (

@@ -29,10 +29,6 @@ weight straight from the table's storage, one row of ints per point id
 lengths at a time so that they lie side by side), and a half walks back
 along a few points, so its reads stay on their rows.
 
-partition_weights, regular_weights and path_probability give the forward
-transition weights on shapes, as a reference; they read full-length
-tables of their own, never the session's.
-
 A drawn walk takes only moves the table lists, so it is legal by
 construction and is decoded without walks.validate_walk or any check of
 its blocks (decode_partition with validate=False).  What the draw
@@ -42,39 +38,52 @@ some move at every length, and that each half ends on the start point.
 
 All randomness flows through one seeded bit stream; given the seed, the
 sample stream is reproducible bit for bit.
+
+The paper's forward transition weights on shapes (partition_weights,
+regular_weights, path_probability) are no part of the draw: they live in
+oracle.py, as a reference the unranking is checked against.  A few names
+stay readable from this module for code that looks them up here: the
+telescoping check imports path_probability from it, and the traced
+benchmark wraps the weights, the walk functions and the braid decoders
+on it.  They load on first read (_ELSEWHERE), so importing the sampler,
+and with it `nckp sample`, loads no oracle.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import accumulate, chain
 
-# `perfbench/run.py --trace 1` times the decode and the walk primitives by
-# wrapping them where this module looks them up: the draw calls
-# decode_partition, and the transition weights below call the walk
-# functions.  It wraps decode_braid and braid_to_partition too, which no
-# draw calls, so every one of these names must stay importable from here.
-from .bijection import braid_to_partition, decode_braid, decode_partition  # noqa: F401
-from .counting import (
-    InvariantError,
-    _table_class,
-    half_lengths,
-    session_table,
-    walk_length,
-)
+from .bijection import decode_partition
+from .counting import InvariantError, half_lengths, session_table, walk_length
 from .diagrams import Partition
-from .record import Record, _set
-from .walks import (
-    BRAID_WALK,
-    PARTITION_WALK,
-    Walk,
-    apply_step,
-    legal_steps,
-    shape_to_point,
-    validate_walk,
-)
+from .walks import BRAID_WALK, PARTITION_WALK, Walk
+
+# name -> home module of each name read from here by code outside the draw
+_ELSEWHERE = {
+    "path_probability": "oracle",
+    "partition_weights": "oracle",
+    "regular_weights": "oracle",
+    "apply_step": "walks",
+    "legal_steps": "walks",
+    "shape_to_point": "walks",
+    "validate_walk": "walks",
+    "decode_braid": "bijection",
+    "braid_to_partition": "bijection",
+}
+
+
+def __getattr__(name: str):
+    """Load a name of _ELSEWHERE from its home module on first read, and
+    keep it so later lookups skip this hook."""
+    if name not in _ELSEWHERE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_ELSEWHERE[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 class RandomBits:
@@ -118,18 +127,6 @@ def uniform_below(total: int, rng: RandomBits) -> int:
         u = rng.block(width)
         if u < total:
             return u
-
-
-class TransitionWeights(Record):
-    """Candidate next steps with their exact completion counts."""
-
-    __slots__ = ("steps", "weights", "total")
-
-    def __init__(self, steps: tuple[int, ...], weights: tuple[int, ...],
-                 total: int) -> None:
-        _set(self, "steps", steps)
-        _set(self, "weights", weights)
-        _set(self, "total", total)
 
 
 class SamplerSession:
@@ -240,111 +237,3 @@ class SamplerSession:
             f"{self.mode} k={self.k} n={self.n}: {problem} at position {i}"
             f" (point {self.table.point(cur)}); tables are inconsistent"
         )
-
-
-@lru_cache(maxsize=8)
-def _full_table(k: int, walk_len: int, mode: str):
-    """A table of every length up to walk_len: the forward
-    weights below need completions that the session's half-length table
-    does not hold."""
-    return _table_class(mode).build(k, walk_len)
-
-
-def partition_weights(session: SamplerSession, rows: tuple[int, ...],
-                      i: int) -> TransitionWeights:
-    """Weights for step i+1 of a plain walk from shape `rows` after i steps.
-
-    Candidate weight = completions from the candidate shape with 2n-(i+1)
-    steps left; the total equals the completions from `rows` itself.
-    """
-    if session.mode != "plain":
-        raise ValueError("partition_weights needs a plain-mode session")
-    k, length = session.k, session.walk_len
-    ct = _full_table(k, length, session.mode)
-    if not 0 <= i < length:
-        raise ValueError(f"position {i} outside 0..{length - 1}")
-    parity = "odd" if (i + 1) % 2 else "even"
-    cands = legal_steps(rows, k, parity, PARTITION_WALK)
-    weights = tuple(
-        ct.count(shape_to_point(apply_step(rows, st), k), length - i - 1)
-        for st in cands
-    )
-    total = ct.count(shape_to_point(rows, k), length - i)
-    return TransitionWeights(tuple(cands), weights, total)
-
-
-def regular_weights(session: SamplerSession, rows: tuple[int, ...], i: int,
-                    pending: int | None = None) -> TransitionWeights:
-    """Weights for step i+1 of a loop-free braid walk.
-
-    At even i the candidates are odd (add) steps; each is weighted by the
-    loop-free completions over both steps of the vertex, excluding the
-    remove(1) continuation after add(1).  At odd i the pending odd step
-    must be supplied and remove(1) is excluded exactly after add(1).
-    """
-    if session.mode != "regular":
-        raise ValueError("regular_weights needs a regular-mode session")
-    k, length = session.k, session.walk_len
-    lt = _full_table(k, length, session.mode)
-    if not 0 <= i < length:
-        raise ValueError(f"position {i} outside 0..{length - 1}")
-    if i % 2 == 0:
-        if pending is not None:
-            raise ValueError("pending step only applies at odd positions")
-        cands = legal_steps(rows, k, "odd", BRAID_WALK)
-        weights = []
-        for alpha in cands:
-            mid = apply_step(rows, alpha)
-            w = 0
-            for t in legal_steps(mid, k, "even", BRAID_WALK,
-                                 forbid_loop_after=alpha):
-                w += lt.count(shape_to_point(apply_step(mid, t), k),
-                              length - i - 2)
-            weights.append(w)
-        total = lt.count(shape_to_point(rows, k), length - i)
-        return TransitionWeights(tuple(cands), tuple(weights), total)
-    if pending is None:
-        raise ValueError("odd positions need the pending odd step")
-    cands = legal_steps(rows, k, "even", BRAID_WALK, forbid_loop_after=pending)
-    weights = tuple(
-        lt.count(shape_to_point(apply_step(rows, st), k), length - i - 1)
-        for st in cands
-    )
-    return TransitionWeights(tuple(cands), weights, sum(weights))
-
-
-def path_probability(session: SamplerSession, walk: Walk) -> Fraction:
-    """Exact probability of the session producing `walk`: the product of
-    its transition ratios.  Equals 1/total for every valid complete walk."""
-    from fractions import Fraction
-
-    expect_kind = PARTITION_WALK if session.mode == "plain" else BRAID_WALK
-    if walk.kind != expect_kind or walk.k != session.k:
-        raise ValueError(
-            f"walk kind {walk.kind!r} (k={walk.k}) does not fit a"
-            f" {session.mode} session with k={session.k}"
-        )
-    if len(walk.steps) != session.walk_len:
-        raise ValueError(
-            f"walk length {len(walk.steps)}, session expects {session.walk_len}"
-        )
-    validate_walk(walk, complete=True)
-    prob = Fraction(1)
-    rows: tuple[int, ...] = ()
-    pending = 0
-    for i, step in enumerate(walk.steps):
-        if session.mode == "plain":
-            tw = partition_weights(session, rows, i)
-        elif i % 2 == 0:
-            tw = regular_weights(session, rows, i)
-            pending = step
-        else:
-            tw = regular_weights(session, rows, i, pending)
-        if step not in tw.steps:
-            raise ValueError(f"step {i + 1} of the walk is not a candidate")
-        weight = tw.weights[tw.steps.index(step)]
-        if weight == 0:
-            return Fraction(0)
-        prob *= Fraction(weight, tw.total)
-        rows = apply_step(rows, step)
-    return prob

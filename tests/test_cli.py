@@ -236,7 +236,9 @@ OPENSSL = ["hashlib", "_hashlib"]  # the digest uses the builtin sha256
     (["sample", "--k", "3", "--n", "6", "--count", "2"], None, NEVER_LOADED),
     (["sample", "--k", "3", "--n", "6", "--count", "2", "--cache", "{cache}"],
      None, [*OPENSSL, *NEVER_LOADED]),
-], ids=["count", "cache_build", "sample", "sample_cache"])
+    (["stats", "--k", "3", "--n", "6", "--samples", "5", "--metric", "arcs"],
+     None, NEVER_LOADED),
+], ids=["count", "cache_build", "sample", "sample_cache", "stats"])
 def test_command_loads_only_what_it_runs(tmp_path, argv, nckp_modules, unloaded):
     """The modules loaded after a command, in a fresh `python -S`, so that
     no site .pth file preloads anything: count and cache build load only

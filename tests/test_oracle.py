@@ -1,17 +1,29 @@
 import ast
+import time
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from nckp import oracle
+from nckp.counting import (
+    ChamberTable,
+    LoopFreeTable,
+    TableLimitError,
+    total_partitions,
+    total_regular,
+)
 from nckp.diagrams import Partition
 from nckp.oracle import (
     UniverseIndex,
     brute_walk_count,
     brute_walk_profile,
+    build_orthant_table,
     chi_square_uniformity,
     enum_filtered,
     enum_partitions,
+    gap_one_transform,
+    k3_totals,
     run_verification,
 )
 
@@ -123,3 +135,53 @@ def test_oracle_imports_only_public_names_from_the_engine():
     modules = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names]
     assert "nckp.counting" not in modules
+
+
+@pytest.mark.parametrize("k, max_len", [(10**5, 4), (3, 10**12)])
+def test_orthant_table_refuses_oversized_requests_fast(k, max_len):
+    start = time.perf_counter()
+    with pytest.raises(TableLimitError, match="more than 80000000 entries"):
+        build_orthant_table(k, max_len)
+    assert time.perf_counter() - start < 1
+
+
+def test_orthant_size_check_refuses_exactly_past_its_estimate():
+    for k in (2, 3, 4, 5):
+        for max_len in (0, 1, 2, 7, 12):
+            est = sum((s // 2 + k) ** (k - 1) // factorial(k - 1)
+                      for s in range(max_len + 1))
+            assert build_orthant_table(k, max_len, max_entries=est).max_len == max_len
+            with pytest.raises(TableLimitError):
+                build_orthant_table(k, max_len, max_entries=est - 1)
+
+
+def test_k3_recurrence_starts_with_the_enumerated_counts():
+    assert k3_totals(0) == [1]
+    assert k3_totals(9) == [len(enum_filtered(n, 3)) for n in range(10)]
+    with pytest.raises(ValueError):
+        k3_totals(-1)
+
+
+def test_k3_totals_follow_the_recurrence_to_400():
+    table = ChamberTable.build(3, 400)
+    assert [total_partitions(3, n, table) for n in range(401)] == k3_totals(400)
+
+
+def test_gap_one_transform_of_small_counts():
+    assert gap_one_transform([]) == []
+    for k in (3, 4):
+        plain = [len(enum_filtered(n, k)) for n in range(8)]
+        assert gap_one_transform(plain) == [len(enum_filtered(n, k, 2))
+                                            for n in range(8)]
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 400), (4, 40), (5, 40)])
+def test_regular_totals_are_the_gap_one_transform(k, n_max):
+    if k == 3:
+        plain = k3_totals(n_max)
+    else:
+        table = ChamberTable.build(k, n_max)
+        plain = [total_partitions(k, n, table) for n in range(n_max + 1)]
+    table = LoopFreeTable.build(k, n_max)
+    regular = [total_regular(k, n, table) for n in range(n_max + 1)]
+    assert regular == gap_one_transform(plain)

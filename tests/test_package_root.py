@@ -24,11 +24,7 @@ EXPORTS = {
         "blocks_from_arcs", "is_k_noncrossing", "is_m_regular",
         "max_crossing", "max_crossing_brute", "parse_blocks_text",
     ],
-    "sampler": [
-        "RandomBits", "SamplerSession", "TransitionWeights",
-        "partition_weights", "path_probability", "regular_weights",
-        "uniform_below",
-    ],
+    "sampler": ["RandomBits", "SamplerSession", "uniform_below"],
     "store": ["CacheError", "load_tables", "save_tables"],
     "walks": [
         "BRAID_WALK", "PARTITION_WALK", "Walk", "WalkError", "apply_step",
@@ -37,9 +33,10 @@ EXPORTS = {
         "validate_walk", "walk_from_text",
     ],
     "oracle": [
-        "OrthantTable", "build_orthant_table", "chamber_count",
-        "loop_free_even_count", "loop_free_odd_count", "reflected_count",
-        "signed_permutations",
+        "OrthantTable", "TransitionWeights", "build_orthant_table",
+        "chamber_count", "loop_free_even_count", "loop_free_odd_count",
+        "partition_weights", "path_probability", "reflected_count",
+        "regular_weights", "signed_permutations",
     ],
 }
 NAMES = [(name, module) for module, names in EXPORTS.items() for name in names]

@@ -8,8 +8,7 @@ import pickle
 import pytest
 
 from nckp.diagrams import Braid, CrossingReport, Partition
-from nckp.oracle import ChiSquareReport
-from nckp.sampler import TransitionWeights
+from nckp.oracle import ChiSquareReport, TransitionWeights
 from nckp.walks import Walk
 
 CASES = [

@@ -1,9 +1,17 @@
+import ast
+import inspect
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+from nckp import sampler, walks
 from nckp.counting import (
     ChamberTable,
     InvariantError,
@@ -12,15 +20,15 @@ from nckp.counting import (
     total_regular,
 )
 from nckp.diagrams import is_k_noncrossing, is_m_regular
-from nckp.oracle import UniverseIndex, chi_square_uniformity, enum_filtered
-from nckp.sampler import (
-    RandomBits,
-    SamplerSession,
+from nckp.oracle import (
+    UniverseIndex,
+    chi_square_uniformity,
+    enum_filtered,
     partition_weights,
     path_probability,
     regular_weights,
-    uniform_below,
 )
+from nckp.sampler import RandomBits, SamplerSession, uniform_below
 
 
 def test_uniform_below_one_consumes_nothing():
@@ -349,9 +357,6 @@ def test_draws_on_inconsistent_tables_raise_under_python_O():
     leave no walk to draw, and the counts at the cut m swollen a millionfold
     leave a first half's rank far past its candidates' weights.  Sessions
     and draws must catch both without assert, in both modes."""
-    import os
-    import subprocess
-    import sys
 
     script = """
 from nckp.counting import ChamberTable, InvariantError, LoopFreeTable
@@ -405,3 +410,49 @@ def test_random_bits_counters():
     assert rng.blocks / 500 < 2
     with pytest.raises(AttributeError):
         rng.bits = 0
+
+
+def test_sampler_imports_only_what_the_draw_runs():
+    """The draw needs the walk record and its two kinds, never a shape
+    function, a record base or an oracle: those stay readable through the
+    module's lazy names only."""
+    tree = ast.parse(Path(sampler.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {alias.asname or alias.name for node in imports
+                for alias in node.names}
+    from_walks = [alias.name for node in imports
+                  if isinstance(node, ast.ImportFrom) and node.module == "walks"
+                  for alias in node.names]
+    assert sorted(from_walks) == ["BRAID_WALK", "PARTITION_WALK", "Walk"]
+    shape_functions = {name for name, value in vars(walks).items()
+                       if inspect.isfunction(value)}
+    assert imported & shape_functions == set()
+    assert "Record" not in imported
+    modules = [node.module or "" for node in imports
+               if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in imports if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert [m for m in modules if "oracle" in m] == []
+
+
+def test_lazy_names_are_their_home_objects():
+    for name, home in sampler._ELSEWHERE.items():
+        assert getattr(sampler, name) is getattr(import_module(f"nckp.{home}"),
+                                                 name), name
+    for name in ("TransitionWeights", "_full_table", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(sampler, name)
+
+
+def test_sampler_loads_the_oracle_only_when_a_weight_is_read():
+    code = ("import sys\nimport nckp.sampler as s\n"
+            "print('nckp.oracle' in sys.modules)\n"
+            "s.legal_steps, s.decode_braid\n"
+            "print('nckp.oracle' in sys.modules)\n"
+            "s.path_probability\n"
+            "print('nckp.oracle' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(sampler.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "False", "True"]
