@@ -14,8 +14,7 @@ that the direct DP in `counting.py` must satisfy:
                         (Gessel-Zeilberger reflection);
 * loop_free_even_count  loop-free braid counts by inclusion-exclusion over
                         the number of loop vertices;
-* chamber_count         a tuple-keyed chamber DP that shares no code with
-                        the engine's id-numbered DP (chamber_slices gives
+* chamber_count         the tuple-keyed chamber DP (chamber_slices gives
                         its whole slices);
 * partition_weights,    the paper's Markov process on shapes: each step's
   regular_weights       candidates weighted by their completions, read
@@ -27,6 +26,13 @@ Two routes check the totals at lengths no enumeration reaches: the
 k = 3 counts follow a P-recursive relation of Bousquet-Melou and Xin
 (k3_totals), and the 2-regular counts of each k follow from the plain
 ones by inclusion-exclusion over gap-one arcs (gap_one_transform).
+
+The walk references step by one rule, `_step_rule`: `_walks` enumerates
+walks through it depth first (the brute_walk_* functions and
+complete_partition_walks), `_dp` counts them in tuple-keyed slices
+(chamber_count, chamber_slices, the orthant table).  They share nothing
+with the neighbour arrays of `counting._grade`, whose mistakes they
+would otherwise repeat instead of catching.
 
 Every point here is a coordinate tuple, as in the engine's API.  The
 module takes only public names from `counting.py` (the tables, their
@@ -80,6 +86,8 @@ def enum_partitions(n: int):
     lexicographic order.  Exactly Bell(n) of them."""
     if n > ENUM_GUARD:
         raise ValueError(f"enumeration guarded at n <= {ENUM_GUARD}, got {n}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         yield Partition.from_blocks(0, [])
         return
@@ -111,13 +119,104 @@ def enum_filtered(n: int, k: int, m: int | None = None) -> list[Partition]:
     return out
 
 
-def _step_targets(point, k: int, adding: bool):
-    yield 0, point
-    for i in range(k - 1):
-        if adding:
-            yield i + 1, point[:i] + (point[i] + 1,) + point[i + 1 :]
-        else:
-            yield -(i + 1), point[:i] + (point[i] - 1,) + point[i + 1 :]
+# ---------------------------------------------------------------------------
+# one step rule, one depth-first enumeration, one DP
+# ---------------------------------------------------------------------------
+
+DP_GUARD = 512
+ORACLE_CACHE_KINDS = 8
+
+
+def _step_rule(k: int, kind: str, loop_free: bool, confine: str):
+    """The oracle's one step rule: a function of (point, s, top) that lists
+    (step, q, top') for every legal s-th step (1-based) from point, the
+    step that does nothing first, then rows 1..k-1.  A step adds at the
+    add positions of step_class and removes elsewhere, and q stays in the
+    chamber ("W") or the orthant ("Q").  top says that the last step added
+    to row 1: a loop-free braid walk may not remove from row 1 next."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if confine not in ("W", "Q"):
+        raise ValueError(f"confine must be 'W' or 'Q', got {confine!r}")
+    ok = in_chamber if confine == "W" else in_orthant
+    track = loop_free and kind == BRAID_WALK
+    delta = {s % 2: 1 if step_class(s, kind) == "add" else -1 for s in (1, 2)}
+
+    def legal(p, s: int, top: bool) -> list:
+        d = delta[s % 2]
+        out = [(0, p, False)]
+        for i in range(k - 1):
+            q = p[:i] + (p[i] + d,) + p[i + 1:]
+            if ok(q) and not (top and d < 0 and i == 0):
+                out.append(((i + 1) * d, q, track and d > 0 and i == 0))
+        return out
+
+    return legal
+
+
+def _walks(k: int, s: int, kind: str, loop_free: bool, confine: str,
+           end=None):
+    """(steps, endpoint) for every confined walk of length s from the start
+    point, depth first in step-rule order.  With end, a branch is cut once
+    the adds or removes still to come cannot close its distance to end, so
+    exactly the walks to end come out."""
+    if s < 0:
+        raise ValueError(f"walk length must be >= 0, got {s}")
+    if end is not None and len(end) != k - 1:
+        raise ValueError(f"end point {end} does not have k-1 = {k - 1} coordinates")
+    rule = _step_rule(k, kind, loop_free, confine)
+    adds = [sum(step_class(t, kind) == "add" for t in range(pos + 1, s + 1))
+            for pos in range(s + 1)]
+
+    def rec(pos: int, p, top: bool, steps: tuple):
+        if end is not None:
+            up = sum(max(b - a, 0) for a, b in zip(p, end))
+            down = sum(max(a - b, 0) for a, b in zip(p, end))
+            if up > adds[pos] or down > s - pos - adds[pos]:
+                return
+        if pos == s:
+            yield steps, p
+            return
+        for step, q, new_top in rule(p, pos + 1, top):
+            yield from rec(pos + 1, q, new_top, steps + (step,))
+
+    yield from rec(0, start_point(k), False, ())
+
+
+@lru_cache(maxsize=ORACLE_CACHE_KINDS)
+def _dp_cache(k: int, kind: str, loop_free: bool, confine: str) -> list:
+    """The slices _dp has made for these arguments, for the last
+    ORACLE_CACHE_KINDS argument sets used."""
+    return [{(start_point(k), False): 1}]
+
+
+def _dp(k: int, kind: str, loop_free: bool, confine: str, upto: int) -> list:
+    """The oracle's one DP: slice s maps (point, top) to the number of
+    confined walks of length s from the start point that end there, top
+    as in _step_rule; grown to hold lengths 0..upto at least.  Chamber
+    walks are guarded at DP_GUARD steps."""
+    if upto < 0:
+        raise ValueError(f"walk length must be >= 0, got {upto}")
+    rule = _step_rule(k, kind, loop_free, confine)
+    if confine == "W" and upto > DP_GUARD:
+        raise TableLimitError(f"oracle guarded at length <= {DP_GUARD}")
+    slices = _dp_cache(k, kind, loop_free, confine)
+    while len(slices) <= upto:
+        s = len(slices)
+        cur: dict = {}
+        for (p, top), val in slices[-1].items():
+            for _, q, new_top in rule(p, s, top):
+                cur[q, new_top] = cur.get((q, new_top), 0) + val
+        slices.append(cur)
+    return slices
+
+
+def _by_point(found: dict) -> dict:
+    """A slice of _dp summed over top."""
+    merged = dict.fromkeys((v for v, _ in found), 0)
+    for (v, _), c in found.items():
+        merged[v] += c
+    return merged
 
 
 def brute_walk_profile(
@@ -131,32 +230,7 @@ def brute_walk_profile(
     enumeration of step sequences."""
     if s > WALK_GUARD:
         raise ValueError(f"walk enumeration guarded at s <= {WALK_GUARD}, got {s}")
-    ok = in_chamber if confine == "W" else in_orthant
-    counts: Counter = Counter()
-    track = loop_free and kind == BRAID_WALK
-
-    def rec(pos: int, point, pending: bool):
-        if pos == s:
-            counts[point] += 1
-            return
-        stepno = pos + 1
-        odd = stepno % 2 == 1
-        adding = odd if kind == BRAID_WALK else not odd
-        for step, q in _step_targets(point, k, adding):
-            if not ok(q):
-                continue
-            if track:
-                if odd:
-                    rec(pos + 1, q, step == 1)
-                    continue
-                if pending and step == -1:
-                    continue
-                rec(pos + 1, q, False)
-                continue
-            rec(pos + 1, q, False)
-
-    rec(0, start_point(k), False)
-    return counts
+    return Counter(q for _, q in _walks(k, s, kind, loop_free, confine))
 
 
 def brute_walk_count(
@@ -171,73 +245,20 @@ def brute_walk_count(
     that can no longer reach v with the adds/removes still available."""
     if s > WALK_GUARD:
         raise ValueError(f"walk enumeration guarded at s <= {WALK_GUARD}, got {s}")
-    v = tuple(v)
-    ok = in_chamber if confine == "W" else in_orthant
-    track = loop_free and kind == BRAID_WALK
-    total = 0
+    return sum(1 for _ in _walks(k, s, kind, loop_free, confine, end=v))
 
-    def feasible(point, pos: int) -> bool:
-        adds = removes = 0
-        for stepno in range(pos + 1, s + 1):
-            odd = stepno % 2 == 1
-            if (odd and kind == BRAID_WALK) or (not odd and kind == PARTITION_WALK):
-                adds += 1
-            else:
-                removes += 1
-        up = sum(max(b - a, 0) for a, b in zip(point, v))
-        down = sum(max(a - b, 0) for a, b in zip(point, v))
-        return up <= adds and down <= removes
 
-    def rec(pos: int, point, pending: bool):
-        nonlocal total
-        if pos == s:
-            if point == v:
-                total += 1
-            return
-        if not feasible(point, pos):
-            return
-        stepno = pos + 1
-        odd = stepno % 2 == 1
-        adding = odd if kind == BRAID_WALK else not odd
-        for step, q in _step_targets(point, k, adding):
-            if not ok(q):
-                continue
-            if track:
-                if odd:
-                    rec(pos + 1, q, step == 1)
-                    continue
-                if pending and step == -1:
-                    continue
-                rec(pos + 1, q, False)
-                continue
-            rec(pos + 1, q, False)
-
-    rec(0, start_point(k), False)
-    return total
+def complete_partition_walks(k: int, n: int) -> list[Walk]:
+    """Every partition walk of length 2n from the empty shape back to it,
+    depth first in step order, by the pruned enumeration of
+    brute_walk_count."""
+    walks = _walks(k, 2 * n, PARTITION_WALK, False, "W", end=start_point(k))
+    return [Walk(PARTITION_WALK, k, steps) for steps, _ in walks]
 
 
 # ---------------------------------------------------------------------------
 # orthant counts and the reflection sum
 # ---------------------------------------------------------------------------
-
-def _advance_slice(prev: dict, adding: bool) -> dict:
-    """One step of the orthant recursion on tuple-keyed slices.
-
-    prev maps point -> count at length s-1; the result is the same map at
-    length s.  Remove steps require the touched coordinate to be positive;
-    nothing else constrains an orthant walk.
-    """
-    out: dict = {}
-    get = out.get
-    delta = 1 if adding else -1
-    for v, val in prev.items():
-        out[v] = get(v, 0) + val
-        for i, x in enumerate(v):
-            if adding or x:
-                q = v[:i] + (x + delta,) + v[i + 1:]
-                out[q] = get(q, 0) + val
-    return out
-
 
 class OrthantTable:
     """Counts of orthant-confined partition walks from the start point.
@@ -284,8 +305,6 @@ def build_orthant_table(
     the state count estimate exceeds max_entries: the estimate is summed
     over the lengths until it does, so the refusal costs no more than the
     lengths it takes to get there."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     est = 0
     for s in range(max_len + 1):
         est += _points_estimate(k, s // 2, max_entries)
@@ -294,11 +313,8 @@ def build_orthant_table(
                 f"orthant table for k={k}, max_len={max_len} needs more than"
                 f" {max_entries} entries"
             )
-    slices = [{start_point(k): 1}]
-    for s in range(1, max_len + 1):
-        adding = step_class(s, PARTITION_WALK) == "add"
-        slices.append(_advance_slice(slices[-1], adding))
-    return OrthantTable(k, max_len, slices)
+    slices = _dp(k, PARTITION_WALK, False, "Q", max_len)[:max_len + 1]
+    return OrthantTable(k, max_len, [_by_point(d) for d in slices])
 
 
 @lru_cache(maxsize=None)
@@ -342,6 +358,8 @@ def loop_free_even_count(ct: ChamberTable, v: tuple[int, ...], pairs: int) -> in
     Braid walks of length 2m biject with partition walks of length 2m+1,
     and a loop vertex can be spliced into any of the `pairs` vertex slots.
     """
+    if pairs < 0:
+        raise ValueError(f"pairs must be >= 0, got {pairs}")
     need = 2 * pairs + 1
     if need > ct.max_len:
         raise ValueError(
@@ -361,12 +379,8 @@ def loop_free_odd_count(lt: LoopFreeTable, v: tuple[int, ...], s: int) -> int:
     (or does nothing), so sum loop-free counts over the possible origins."""
     if s % 2 == 0:
         raise ValueError(f"length must be odd, got {s}")
-    total = lt.count(v, s - 1)
-    for i in range(lt.k - 1):
-        q = v[:i] + (v[i] - 1,) + v[i + 1 :]
-        if in_chamber(q):
-            total += lt.count(q, s - 1)
-    return total
+    origins = _step_rule(lt.k, BRAID_WALK, True, "W")(v, 2, False)
+    return sum(lt.count(q, s - 1) for _, q, _ in origins)
 
 
 # ---------------------------------------------------------------------------
@@ -540,81 +554,24 @@ def path_probability(session: SamplerSession, walk: Walk) -> Fraction:
 # tuple-keyed chamber DP
 # ---------------------------------------------------------------------------
 
-ORACLE_CACHE_KINDS = 8
-
-
-@lru_cache(maxsize=ORACLE_CACHE_KINDS)
-def _oracle_slices(k: int, kind: str, loop_free: bool) -> list:
-    """The slices of the direct DP for (k, kind, loop_free) made so far,
-    which _oracle_extend grows in place: kept for at most
-    ORACLE_CACHE_KINDS such triples, the least recently used dropped
-    first."""
-    return [{start_point(k): 1}]
-
-
-def _oracle_extend(k: int, kind: str, loop_free: bool, upto: int) -> list:
-    """The direct DP's slices for (k, kind, loop_free), grown to hold
-    lengths 0..upto at least."""
-    slices = _oracle_slices(k, kind, loop_free)
-    while len(slices) <= upto:
-        s = len(slices)
-        cls = step_class(s, kind)
-        prev = slices[s - 1]
-        cur: dict = {}
-        get = cur.get
-        track = loop_free and kind == BRAID_WALK
-        for state, val in prev.items():
-            p = state[0] if track and s % 2 == 0 else state
-            pending = state[1] if track and s % 2 == 0 else False
-            for r in range(0, k):
-                if r == 0:
-                    q = p
-                elif cls == "add":
-                    q = p[: r - 1] + (p[r - 1] + 1,) + p[r:]
-                else:
-                    q = p[: r - 1] + (p[r - 1] - 1,) + p[r:]
-                if not in_chamber(q):
-                    continue
-                if track:
-                    if s % 2 == 1:
-                        new = (q, cls == "add" and r == 1)
-                    else:
-                        if pending and cls == "remove" and r == 1:
-                            continue
-                        new = q
-                else:
-                    new = q
-                cur[new] = get(new, 0) + val
-        slices.append(cur)
-    return slices
-
-
 def chamber_count(
     k: int,
     v: tuple[int, ...],
     s: int,
     kind: str = PARTITION_WALK,
     loop_free: bool = False,
-    *,
-    max_len_guard: int = 512,
 ) -> int:
     """Direct chamber-confined DP count on coordinate tuples.
 
     For kind="P" this equals the reflected chamber count.  For kind="B" it
     counts braid walks (loop_free excludes vertices that add to and remove
-    from row 1), matching the inclusion-exclusion route.
+    from row 1), matching the inclusion-exclusion route.  TableLimitError
+    past DP_GUARD steps.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if s > max_len_guard:
-        raise TableLimitError(f"oracle guarded at length <= {max_len_guard}")
     if len(v) != k - 1 or not in_chamber(v):
         raise ValueError(f"point {v} is not in the chamber for k={k}")
-    slices = _oracle_extend(k, kind, loop_free, s)
-    track = loop_free and kind == BRAID_WALK
-    if track and s % 2 == 1:
-        return slices[s].get((v, False), 0) + slices[s].get((v, True), 0)
-    return slices[s].get(v, 0)
+    found = _dp(k, kind, loop_free, "W", s)[s]
+    return found.get((v, False), 0) + found.get((v, True), 0)
 
 
 def chamber_slices(k: int, max_len: int, loop_free: bool = False) -> list:
@@ -622,16 +579,7 @@ def chamber_slices(k: int, max_len: int, loop_free: bool = False) -> list:
     0..max_len, by the DP of chamber_count: partition walks, or loop-free
     braid walks when loop_free.  Only points with a walk appear."""
     kind = BRAID_WALK if loop_free else PARTITION_WALK
-    found = _oracle_extend(k, kind, loop_free, max_len)[:max_len + 1]
-    slices = []
-    for s, d in enumerate(found):
-        if loop_free and s % 2:  # keyed (point, whether it added to row 1)
-            merged: dict = {}
-            for (v, _), c in d.items():
-                merged[v] = merged.get(v, 0) + c
-            d = merged
-        slices.append(dict(d))
-    return slices
+    return [_by_point(d) for d in _dp(k, kind, loop_free, "W", max_len)[:max_len + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +686,17 @@ def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
         actual = [total_regular(k, n) for n in range(n_max + 1)]
         checks.append(_check("totals/regular", {"k": k, "n_max": n_max}, expected, actual))
 
+    # totals past any enumeration: the k = 3 recurrence, the gap-one transform
+    if k_max >= 3:
+        table = ChamberTable.build(3, 100)
+        actual = [total_partitions(3, n, table) for n in range(101)]
+        checks.append(_check("totals/k3-recurrence", {"n_max": 100}, k3_totals(100), actual))
+    for k in range(3, k_max + 1):
+        plain, regular = ChamberTable.build(k, 40), LoopFreeTable.build(k, 40)
+        expected = gap_one_transform([total_partitions(k, n, plain) for n in range(41)])
+        actual = [total_regular(k, n, regular) for n in range(41)]
+        checks.append(_check("totals/gap-one", {"k": k, "n_max": 40}, expected, actual))
+
     # reflection assembly vs direct chamber DP vs brute enumeration
     for k in range(2, min(k_max, 5) + 1):
         s_cap = 10 if k >= 4 else 12
@@ -800,23 +759,3 @@ def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
         "failed": sum(not c["pass"] for c in checks),
         "checks": checks,
     }
-
-
-def complete_partition_walks(k: int, n: int):
-    """Every complete partition walk of length 2n, by DFS over legal steps."""
-    out = []
-    steps: list[int] = []
-
-    def rec(pos: int, rows):
-        if pos == 2 * n:
-            if rows == ():
-                out.append(Walk(PARTITION_WALK, k, tuple(steps)))
-            return
-        parity = "odd" if (pos + 1) % 2 else "even"
-        for st in legal_steps(rows, k, parity, PARTITION_WALK):
-            steps.append(st)
-            rec(pos + 1, apply_step(rows, st))
-            steps.pop()
-
-    rec(0, ())
-    return out

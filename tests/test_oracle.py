@@ -15,15 +15,20 @@ from nckp.counting import (
 )
 from nckp.diagrams import Partition
 from nckp.oracle import (
+    DP_GUARD,
     UniverseIndex,
     brute_walk_count,
     brute_walk_profile,
     build_orthant_table,
+    chamber_count,
+    chamber_slices,
     chi_square_uniformity,
+    complete_partition_walks,
     enum_filtered,
     enum_partitions,
     gap_one_transform,
     k3_totals,
+    loop_free_even_count,
     run_verification,
 )
 
@@ -59,10 +64,59 @@ def test_brute_walk_examples():
     assert brute_walk_count(3, (0, 0), 1, "P", confine="Q") == 1
 
 
-def test_brute_walk_profile_matches_counts():
-    profile = brute_walk_profile(3, 6, "P", confine="Q")
-    for v, count in profile.items():
-        assert brute_walk_count(3, v, 6, "P", confine="Q") == count
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("kind, loop_free, confine", [
+    ("P", False, "Q"), ("P", False, "W"), ("B", False, "W"), ("B", True, "W"),
+])
+def test_brute_walk_profile_matches_counts(k, kind, loop_free, confine):
+    """The depth-first enumeration against its pruned form and against the
+    DP, on every walk kind: the orthant table, chamber_slices, or
+    chamber_count for braid walks with loops."""
+    s_max = 10
+    if confine == "Q":
+        orthant = build_orthant_table(k, s_max)
+        expected = [dict(orthant.slice_items(s)) for s in range(s_max + 1)]
+    elif kind == "P" or loop_free:
+        expected = chamber_slices(k, s_max, loop_free)
+    else:  # braid walks with loops have no slice form: check point by point
+        expected = None
+    for s in range(s_max + 1):
+        profile = brute_walk_profile(k, s, kind, loop_free, confine)
+        if expected is None:
+            assert all(chamber_count(k, v, s, "B") == count
+                       for v, count in profile.items())
+        else:
+            assert profile == expected[s], s
+        if s == 6:
+            for v, count in profile.items():
+                assert brute_walk_count(k, v, s, kind, loop_free, confine) == count
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: chamber_count(3, (1, 0), -1), id="chamber_count-length"),
+    pytest.param(lambda: chamber_count(3, (1, 0), 2, kind="X"), id="chamber_count-kind"),
+    pytest.param(lambda: chamber_slices(3, -1), id="chamber_slices-length"),
+    pytest.param(lambda: brute_walk_profile(3, -1), id="profile-length"),
+    pytest.param(lambda: brute_walk_profile(3, 2, confine="X"), id="profile-confine"),
+    pytest.param(lambda: brute_walk_profile(3, 2, kind="X"), id="profile-kind"),
+    pytest.param(lambda: brute_walk_count(3, (1, 0), -1), id="count-length"),
+    pytest.param(lambda: brute_walk_count(3, (1,), 3), id="count-end"),
+    pytest.param(lambda: complete_partition_walks(3, -1), id="complete-walks-n"),
+    pytest.param(lambda: build_orthant_table(3, -1), id="orthant-length"),
+    pytest.param(lambda: loop_free_even_count(ChamberTable.build(3, 3), (1, 0), -1),
+                 id="loop-free-even-pairs"),
+    pytest.param(lambda: list(enum_partitions(-1)), id="enum-n"),
+])
+def test_bad_oracle_input_is_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_chamber_dp_is_guarded_in_length():
+    for call in (lambda: chamber_count(3, (1, 0), DP_GUARD + 1),
+                 lambda: chamber_slices(3, DP_GUARD + 1, loop_free=True)):
+        with pytest.raises(TableLimitError, match=f"length <= {DP_GUARD}"):
+            call()
 
 
 def test_brute_walk_guard():
@@ -120,6 +174,8 @@ def test_run_verification_small():
     assert report["passed"]
     assert report["failed"] == 0
     assert all(c["pass"] for c in report["checks"])
+    names = {c["name"] for c in report["checks"]}
+    assert {"totals/k3-recurrence", "totals/gap-one"} <= names
 
 
 def test_oracle_imports_only_public_names_from_the_engine():
@@ -135,6 +191,26 @@ def test_oracle_imports_only_public_names_from_the_engine():
     modules = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names]
     assert "nckp.counting" not in modules
+
+
+def _builds_a_neighbour(node) -> bool:
+    """node is `p[:i] + (...,) + p[j:]`: a point with one coordinate replaced."""
+    def is_slice(n):
+        return isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Slice)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and is_slice(node.right) and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Add) and is_slice(node.left.left)
+            and isinstance(node.left.right, ast.Tuple))
+
+
+def test_oracle_writes_its_step_rule_once():
+    """Every walk reference in the oracle steps through `_step_rule`: it is
+    the one definition that builds a neighbour point."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    builders = [top.name for top in tree.body
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                and any(_builds_a_neighbour(n) for n in ast.walk(top))]
+    assert builders == ["_step_rule"]
 
 
 @pytest.mark.parametrize("k, max_len", [(10**5, 4), (3, 10**12)])
