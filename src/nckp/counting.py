@@ -47,13 +47,19 @@ stays on their rows.  The rows grow a tile of TILE lengths at a time, by
 fresh copies of the DP's counts made id by id, so that a row's counts of
 one tile lie side by side in memory; tiles serve that locality only.
 digest(), which caches pin, hashes the graded points, the slice sizes and
-each count's residue mod 2**61 - 1, row by row.  A sampler reads a
-table by id: back() lists the moves a draw takes back out of one point,
+each count's residue mod 2**61 - 1, row by row.
+
+A table unranks its own complete walks (walk_through).  Given a walk's
+midpoint id v and a rank in [0, f(v, m) * f(v, h)), divmod by f(v, h)
+splits the rank into one per half, and each half is unranked backwards
+from v: at every length, subtract the completions of the moves back out
+of the current point until the rank falls inside one (the recursive
+method of Nijenhuis and Wilf, and of Flajolet, Zimmermann and Van
+Cutsem, with its meet-in-the-middle split).  back() lists those moves,
 one step of a partition walk or one loop-free braid vertex (two steps),
-made once from the neighbour arrays by _steps; and lookup() reads a
-count, so the build and the draw share one step rule.  The draw's inner
-loop reads the rows and back()'s memo directly, to save a call per
-candidate.
+made once per id and parity from the neighbour arrays by _steps, so the
+build and the draw share one step rule; the loop reads that memo and the
+rows directly, to save a call per candidate.
 
 This module also owns the chamber primitives the DP runs on (start_point
 and in_chamber, which `walks.py` re-exports) and session_table, which
@@ -270,12 +276,10 @@ class _PackedTable:
     the prefix rule, length s holds the ids below _sizes[s] =
     ends[_box_bound(s)], the points of at most _box_bound(s) boxes, so
     row i holds the counts of id i at lengths _first[i]..max_len, where
-    _first[i] is the first length that holds i.  A draw walks along a few
-    points, reading each one's row at lengths s, s-1, ..., so its reads
-    stay on those rows.  Built once, immutable afterwards (but for the
-    back() memo, which only grows) and safe to share, memo included.
-    count() takes a point and checks it; back() and lookup() take point
-    ids and do not check.
+    _first[i] is the first length that holds i.  Built once, immutable
+    afterwards (but for the back() memo, which only grows) and safe to
+    share, memo included.  count() takes a point and checks it; back(),
+    lookup() and walk_through() take point ids and do not check them.
     """
 
     braid = False
@@ -352,30 +356,81 @@ class _PackedTable:
         chamber point or s lies outside 0..max_len."""
         if len(v) != self.k - 1 or not in_chamber(v):
             raise ValueError(f"point {v} is not in the chamber for k={self.k}")
-        if not 0 <= s <= self.max_len:
-            raise ValueError(
-                f"length {s} outside table range 0..{self.max_len}"
-            )
+        self._check_length(s)
         if sum(v) - self._base > _box_bound(s, self.braid):
             return 0
         return self.lookup(self.point_id(tuple(v)), s)
+
+    def _check_length(self, s: int) -> None:
+        if not 0 <= s <= self.max_len:
+            raise ValueError(f"length {s} outside table range 0..{self.max_len}")
+
+    def _cut(self, walk_len: int) -> tuple[int, int]:
+        """half_lengths(walk_len), or ValueError unless walk_len is the
+        length of complete walks (even, >= 0) whose halves the table holds."""
+        m, h = half_lengths(walk_len, self.braid)
+        if walk_len < 0 or walk_len % 2 or h > self.max_len:
+            raise ValueError(f"table serves complete walks of even length"
+                             f" 0..{2 * self.max_len}, got {walk_len}")
+        return m, h
 
     def midpoint_weights(self, walk_len: int) -> list[int]:
         """By point id v, f(v, m) * f(v, h) for the cut (m, h) of
         half_lengths: the number of complete walks of length walk_len that
         are at v after m steps.  Their sum is the number of complete walks."""
-        m, h = half_lengths(walk_len, self.braid)
-        if h > self.max_len:
-            raise ValueError(f"table serves half lengths <= {self.max_len},"
-                             f" a walk of length {walk_len} needs {h}")
+        m, h = self._cut(walk_len)
         return list(map(mul, self._column(m), self._column(h)))
+
+    def walk_through(self, walk_len: int, v: int, rest: int) -> list[int]:
+        """The step codes of the complete walk of length walk_len that is at
+        point id v after m steps, (m, h) the cut of half_lengths, and has
+        rank `rest` in [0, f(v, m) * f(v, h)) among those walks.
+        InvariantError, naming the position in the walk and the point, when
+        a rank falls past every move back or a half does not end on the
+        start point, which only a wrong table can do."""
+        m, h = self._cut(walk_len)
+        rows, first, sizes = self._rows, self._first, self._sizes
+        memo, make = self._back, self._make_back
+        width, halves = 1 + self.braid, []
+        ranks = divmod(rest, self.lookup(v, h))
+        for second, (length, rank) in enumerate(zip((m, h), ranks)):
+            cur, backs = v, []
+            for s in range(length, 0, -width):
+                t = s - width
+                found, last = memo[s & 1][cur] or make(cur, s & 1)
+                if last >= sizes[t]:  # some target lies past slice t
+                    found = self.back(cur, s)
+                # every target is held by slice t, so t >= first[prev]
+                for back, prev in found:
+                    weight = rows[prev][t - first[prev]]
+                    if rank < weight:
+                        break
+                    rank -= weight
+                else:
+                    raise InvariantError(
+                        "candidate weights sum below the stored total"
+                        f" {self.lookup(cur, s)} at position"
+                        f" {walk_len - s if second else s}"
+                        f" (point {self.point(cur)})")
+                backs.append(back)
+                cur = prev
+            if cur != self.start_id:
+                raise InvariantError(
+                    "the walk does not end on the start point at position"
+                    f" {walk_len if second else 0} (point {self.point(cur)})")
+            halves.append(list(chain.from_iterable(backs)) if self.braid
+                          else backs)
+        # a half's codes, listed from v back to the start point, undo its
+        # steps: the first half is them inverted in reverse, the second
+        # half reversed and inverted is them as listed
+        return [-c for c in reversed(halves[0])] + halves[1]
 
     def slice_items(self, s: int):
         """Iterate (point, count) over the stored support at length s, in
-        increasing point order."""
-        keys, vals = self._keys, self._column(s)
-        for i in sorted(range(len(vals)), key=keys.__getitem__):
-            yield keys[i], vals[i]
+        increasing point order.  ValueError when s lies outside
+        0..max_len."""
+        self._check_length(s)
+        return sorted(zip(self._keys, self._column(s)))  # points are distinct
 
     def entry_count(self) -> int:
         return sum(self._sizes)
@@ -466,6 +521,8 @@ class ChamberTable(_PackedTable):
         min_k = 3 if loop_free else 2
         if k < min_k:
             raise ValueError(f"k must be >= {min_k}, got {k}")
+        if loop_free and max_len % 2:  # halves of braid walks are even
+            raise ValueError(f"loop-free max_len must be even, got {max_len}")
         _check_size(k, max_len, loop_free)
         table_cls = LoopFreeTable if loop_free else ChamberTable
         return table_cls(k, max_len)
@@ -497,8 +554,6 @@ class LoopFreeTable(_PackedTable):
 
     @classmethod
     def build(cls, k: int, walk_len: int) -> "LoopFreeTable":
-        if walk_len % 2:
-            raise ValueError(f"walk_len must be even, got {walk_len}")
         return ChamberTable.build(k, walk_len, loop_free=True)
 
 

@@ -30,7 +30,8 @@ ones by inclusion-exclusion over gap-one arcs (gap_one_transform).
 The walk references step by one rule, `_step_rule`: `_walks` enumerates
 walks through it depth first (the brute_walk_* functions and
 complete_partition_walks), `_dp` counts them in tuple-keyed slices
-(chamber_count, chamber_slices, the orthant table).  They share nothing
+(chamber_count, chamber_slices, the orthant table), and `_forward` lists
+the candidates of the transition weights by it.  They share nothing
 with the neighbour arrays of `counting._grade`, whose mistakes they
 would otherwise repeat instead of catching.
 
@@ -62,10 +63,8 @@ from .walks import (
     BRAID_WALK,
     PARTITION_WALK,
     Walk,
-    apply_step,
     in_chamber,
     in_orthant,
-    legal_steps,
     shape_to_point,
     start_point,
     step_class,
@@ -450,6 +449,36 @@ def _full_table(k: int, walk_len: int, mode: str):
     return (ChamberTable if mode == "plain" else LoopFreeTable).build(k, walk_len)
 
 
+def _forward(session: SamplerSession, p: tuple[int, ...], i: int,
+             pending: int | None) -> tuple[list, TransitionWeights]:
+    """The step rule's candidates for step i+1 of the session's walk from
+    chamber point p after i steps, and their weights: the completions
+    from each candidate's end, read from a full-length table.  A
+    loop-free braid walk adds at even i, weighted over both steps of the
+    vertex, and removes at odd i after its pending add, never remove(1)
+    after add(1)."""
+    k, length = session.k, session.walk_len
+    if not 0 <= i < length:
+        raise ValueError(f"position {i} outside 0..{length - 1}")
+    braid = session.mode == "regular"
+    if braid and i % 2 == 0 and pending is not None:
+        raise ValueError("pending step only applies at odd positions")
+    if braid and i % 2 and pending is None:
+        raise ValueError("odd positions need the pending odd step")
+    table = _full_table(k, length, session.mode)
+    rule = _step_rule(k, BRAID_WALK if braid else PARTITION_WALK, braid, "W")
+    cands = rule(p, i + 1, pending == 1)
+    if braid and i % 2 == 0:
+        weights = tuple(sum(table.count(q, length - i - 2)
+                            for _, q, _ in rule(mid, i + 2, top))
+                        for _, mid, top in cands)
+    else:
+        weights = tuple(table.count(q, length - i - 1) for _, q, _ in cands)
+    total = sum(weights) if braid and i % 2 else table.count(p, length - i)
+    steps = tuple(step for step, _, _ in cands)
+    return cands, TransitionWeights(steps, weights, total)
+
+
 def partition_weights(session: SamplerSession, rows: tuple[int, ...],
                       i: int) -> TransitionWeights:
     """Weights for step i+1 of a plain walk from shape `rows` after i steps.
@@ -459,18 +488,7 @@ def partition_weights(session: SamplerSession, rows: tuple[int, ...],
     """
     if session.mode != "plain":
         raise ValueError("partition_weights needs a plain-mode session")
-    k, length = session.k, session.walk_len
-    ct = _full_table(k, length, session.mode)
-    if not 0 <= i < length:
-        raise ValueError(f"position {i} outside 0..{length - 1}")
-    parity = "odd" if (i + 1) % 2 else "even"
-    cands = legal_steps(rows, k, parity, PARTITION_WALK)
-    weights = tuple(
-        ct.count(shape_to_point(apply_step(rows, st), k), length - i - 1)
-        for st in cands
-    )
-    total = ct.count(shape_to_point(rows, k), length - i)
-    return TransitionWeights(tuple(cands), weights, total)
+    return _forward(session, shape_to_point(rows, session.k), i, None)[1]
 
 
 def regular_weights(session: SamplerSession, rows: tuple[int, ...], i: int,
@@ -484,33 +502,7 @@ def regular_weights(session: SamplerSession, rows: tuple[int, ...], i: int,
     """
     if session.mode != "regular":
         raise ValueError("regular_weights needs a regular-mode session")
-    k, length = session.k, session.walk_len
-    lt = _full_table(k, length, session.mode)
-    if not 0 <= i < length:
-        raise ValueError(f"position {i} outside 0..{length - 1}")
-    if i % 2 == 0:
-        if pending is not None:
-            raise ValueError("pending step only applies at odd positions")
-        cands = legal_steps(rows, k, "odd", BRAID_WALK)
-        weights = []
-        for alpha in cands:
-            mid = apply_step(rows, alpha)
-            w = 0
-            for t in legal_steps(mid, k, "even", BRAID_WALK,
-                                 forbid_loop_after=alpha):
-                w += lt.count(shape_to_point(apply_step(mid, t), k),
-                              length - i - 2)
-            weights.append(w)
-        total = lt.count(shape_to_point(rows, k), length - i)
-        return TransitionWeights(tuple(cands), tuple(weights), total)
-    if pending is None:
-        raise ValueError("odd positions need the pending odd step")
-    cands = legal_steps(rows, k, "even", BRAID_WALK, forbid_loop_after=pending)
-    weights = tuple(
-        lt.count(shape_to_point(apply_step(rows, st), k), length - i - 1)
-        for st in cands
-    )
-    return TransitionWeights(tuple(cands), weights, sum(weights))
+    return _forward(session, shape_to_point(rows, session.k), i, pending)[1]
 
 
 def path_probability(session: SamplerSession, walk: Walk) -> Fraction:
@@ -530,23 +522,18 @@ def path_probability(session: SamplerSession, walk: Walk) -> Fraction:
         )
     validate_walk(walk, complete=True)
     prob = Fraction(1)
-    rows: tuple[int, ...] = ()
-    pending = 0
+    p = start_point(session.k)
+    pending = None
     for i, step in enumerate(walk.steps):
-        if session.mode == "plain":
-            tw = partition_weights(session, rows, i)
-        elif i % 2 == 0:
-            tw = regular_weights(session, rows, i)
-            pending = step
-        else:
-            tw = regular_weights(session, rows, i, pending)
+        cands, tw = _forward(session, p, i, pending)
         if step not in tw.steps:
             raise ValueError(f"step {i + 1} of the walk is not a candidate")
-        weight = tw.weights[tw.steps.index(step)]
-        if weight == 0:
+        j = tw.steps.index(step)
+        if tw.weights[j] == 0:
             return Fraction(0)
-        prob *= Fraction(weight, tw.total)
-        rows = apply_step(rows, step)
+        prob *= Fraction(tw.weights[j], tw.total)
+        p = cands[j][1]
+        pending = step if session.mode == "regular" and i % 2 == 0 else None
     return prob
 
 
@@ -701,11 +688,13 @@ def run_verification(k_max: int = 4, n_max: int = 8) -> dict:
     for k in range(2, min(k_max, 5) + 1):
         s_cap = 10 if k >= 4 else 12
         table = ChamberTable.build(k, s_cap)
+        orthant = build_orthant_table(k, s_cap)
         mismatches = []
         for s in range(s_cap + 1):
             brute = brute_walk_profile(k, s, PARTITION_WALK, False, "W")
             for v, cnt in brute.items():
-                if table.count(v, s) != cnt or chamber_count(k, v, s) != cnt:
+                if (table.count(v, s) != cnt or chamber_count(k, v, s) != cnt
+                        or reflected_count(orthant, v, s) != cnt):
                     mismatches.append([list(v), s])
             stored = dict(table.slice_items(s))
             for v, cnt in stored.items():

@@ -1,40 +1,27 @@
 """Exact-uniform sampling of chamber walks and their partitions, by
 unranking at the midpoint.
 
-A complete walk of length S is its first m steps, a walk from the start
-point to some midpoint v, followed by the reverse of a second walk from
-the start point to v, of length h = S - m (counting.half_lengths; the cut
-falls on a vertex boundary for braid walks).  So total = sum_v f(v, m) *
-f(v, h), and a session keeps the prefix sums of those products over the
-midpoints' point ids, whose last entry is the total.  A draw takes one
-u = uniform_below(total) and unranks it: bisect u in the prefix sums to
-find v, split the rest by divmod into a rank for each half, and unrank
-each half backwards from v -- at every length subtract the completions of
-the table's moves into the current point until the rank falls inside one
-(the recursive method of Nijenhuis and Wilf, and of Flajolet, Zimmermann
-and Van Cutsem, with its meet-in-the-middle split).  The walk is the first
-half followed by the second one reversed, each step inverted.  So unrank
-is a bijection from [0, total) onto the complete walks, every walk has
-probability exactly 1/total, and a draw uses one uniform_below.  Plain
-mode samples partition walks a step at a time; regular mode samples
-loop-free braid walks a vertex (add, remove) at a time.  Both run one
-loop over the moves back that the table memoises per point id (its
-back() memo), cut to the ids the next length holds.  A regular walk with
-a do-nothing step added on either side is the partition walk of its
-2-regular partition (bijection.py), so both modes decode a partition walk
-the same way.  The count table needs only the lengths up to h, and any
-table that holds them serves the session.  The unranking reads each
-weight straight from the table's storage, one row of ints per point id
-(counting._PackedTable, which lays each row's counts out a tile of
-lengths at a time so that they lie side by side), and a half walks back
-along a few points, so its reads stay on their rows.
+A session keeps the prefix sums of the count table's midpoint weights
+over the midpoints' point ids, whose last entry is the total.  A draw
+takes one u = uniform_below(total), bisects it in the prefix sums to
+find the midpoint v, and has the table unrank the rest into the steps of
+one complete walk (walk_through; counting.py describes the cut and the
+unranking).  So unrank is a bijection from [0, total) onto the complete
+walks, every walk has probability exactly 1/total, and a draw uses one
+uniform_below.  Plain mode samples partition walks; regular mode samples
+loop-free braid walks.  A regular walk with a do-nothing step added on
+either side is the partition walk of its 2-regular partition
+(bijection.py), so both modes decode a partition walk the same way.
+Any table that holds the half lengths of the session's walks serves it.
 
 A drawn walk takes only moves the table lists, so it is legal by
 construction and is decoded without walks.validate_walk or any check of
 its blocks (decode_partition with validate=False).  What the draw
 does check, with InvariantError rather than assert, is what only a wrong
-table could break: that the total is positive, that a rank falls inside
-some move at every length, and that each half ends on the start point.
+table could break: that the total is positive, and, in walk_through,
+that a rank falls inside some move at every length and that each half
+ends on the start point.  The error names the session, the position in
+the walk and the point.
 
 All randomness flows through one seeded bit stream; given the seed, the
 sample stream is reproducible bit for bit.
@@ -53,10 +40,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .bijection import decode_partition
-from .counting import InvariantError, half_lengths, session_table, walk_length
+from .counting import InvariantError, session_table, walk_length
 from .diagrams import Partition
 from .walks import BRAID_WALK, PARTITION_WALK, Walk
 
@@ -155,11 +142,12 @@ class SamplerSession:
         self.rng = RandomBits(seed)
         self.walk_len = walk_length(n, mode)
         self.table = session_table(k, n, mode, table)
-        self._cut = half_lengths(self.walk_len, mode == "regular")
         self._ends = list(accumulate(self.table.midpoint_weights(self.walk_len)))
         self.total = self._ends[-1] if self._ends else 0
         if self.total < 1:
-            raise self._inconsistent(0, self.table.start_id, "zero total weight")
+            start = self.table.point(self.table.start_id)
+            raise self._inconsistent(
+                f"zero total weight at position 0 (point {start})")
 
     def draw(self) -> tuple[Walk, Partition]:
         """One uniform sample, the walk and its decoded partition: the
@@ -175,14 +163,11 @@ class SamplerSession:
             raise ValueError(f"rank {u} outside 0..{self.total - 1}")
         ends = self._ends
         v = bisect_right(ends, u)
-        m, h = self._cut
-        first, second = divmod(u - (ends[v - 1] if v else 0),
-                               self.table.lookup(v, h))
-        # a half's codes, listed from v back to the start point, undo its
-        # steps: the first half is them inverted in reverse, the second
-        # half reversed and inverted is them as listed
-        steps = [-c for c in reversed(self._half(v, m, first, False))]
-        steps += self._half(v, h, second, True)
+        try:
+            steps = self.table.walk_through(self.walk_len, v,
+                                            u - (ends[v - 1] if v else 0))
+        except InvariantError as exc:
+            raise self._inconsistent(str(exc)) from None
         if self.mode == "plain":
             walk = Walk(PARTITION_WALK, self.k, tuple(steps))
             return walk, decode_partition(walk, validate=False)
@@ -194,46 +179,6 @@ class SamplerSession:
         padded = Walk(PARTITION_WALK, self.k, (0, *steps, 0))
         return walk, decode_partition(padded, validate=False)
 
-    def _half(self, cur: int, length: int, rank: int, second: bool) -> list[int]:
-        """The walk of the given rank among those of `length` steps from
-        the start point to point id `cur`, found backwards and returned as
-        the step codes that undo it, last step first: at each length the
-        rank picks one of the moves back out of the current point, each
-        weighted by the walks that reach its target.  A move spans `width`
-        steps: one step of a partition walk, or one loop-free braid vertex
-        of two.  The moves come from the table's back() memo, read inline,
-        and only near the table's edge through back()'s cut.  `second`
-        tells which half this is, for naming positions in the whole walk."""
-        table = self.table
-        rows, first, sizes = table._rows, table._first, table._sizes
-        memo, make = table._back, table._make_back
-        width = 1 + table.braid
-        backs = []
-        for s in range(length, 0, -width):
-            t = s - width
-            found, last = memo[s & 1][cur] or make(cur, s & 1)
-            if last >= sizes[t]:  # some target lies past slice t
-                found = table.back(cur, s)
-            # every target is held by slice t, so t >= first[prev]
-            for back, prev in found:
-                weight = rows[prev][t - first[prev]]
-                if rank < weight:
-                    break
-                rank -= weight
-            else:
-                raise self._inconsistent(
-                    self.walk_len - s if second else s, cur,
-                    "candidate weights sum below the stored total"
-                    f" {table.lookup(cur, s)}")
-            backs.append(back)
-            cur = prev
-        if cur != table.start_id:
-            raise self._inconsistent(self.walk_len if second else 0, cur,
-                                     "the walk does not end on the start point")
-        return backs if width == 1 else list(chain.from_iterable(backs))
-
-    def _inconsistent(self, i: int, cur: int, problem: str) -> InvariantError:
-        return InvariantError(
-            f"{self.mode} k={self.k} n={self.n}: {problem} at position {i}"
-            f" (point {self.table.point(cur)}); tables are inconsistent"
-        )
+    def _inconsistent(self, problem: str) -> InvariantError:
+        return InvariantError(f"{self.mode} k={self.k} n={self.n}: {problem};"
+                              " tables are inconsistent")

@@ -185,7 +185,7 @@ def test_size_estimate_is_exact():
         for loop_free in (False, True):
             if loop_free and k < 3:
                 continue
-            for max_len in range(24 - 2 * k):
+            for max_len in range(0, 24 - 2 * k, 1 + loop_free):
                 table = ChamberTable.build(k, max_len, loop_free=loop_free)
                 size = (k - 1) * len(table._keys) + table.entry_count()
                 assert _estimate_entries(k, max_len, loop_free,
@@ -203,6 +203,17 @@ def test_count_checks_its_arguments():
         for s in (-1, 9):
             with pytest.raises(ValueError, match="length"):
                 table.count((1, 0), s)
+            with pytest.raises(ValueError, match="length"):
+                table.slice_items(s)
+        # complete walks have even lengths >= 0 whose halves the table holds
+        for walk_len in (-13, -2, -1, 3, 7, 18):
+            with pytest.raises(ValueError, match="even length"):
+                table.midpoint_weights(walk_len)
+            with pytest.raises(ValueError, match="even length"):
+                table.walk_through(walk_len, table.start_id, 0)
+    for walk_len in (-1, 5):
+        with pytest.raises(ValueError, match="even"):
+            ChamberTable.build(3, walk_len, loop_free=True)
 
 
 def test_k4_six_term_reflection_formula():

@@ -178,6 +178,17 @@ def test_run_verification_small():
     assert {"totals/k3-recurrence", "totals/gap-one"} <= names
 
 
+def test_reflection_check_runs_the_reflection_sum(monkeypatch):
+    """reflection/oracle compares the reflected count too: a reflection sum
+    one off fails that check and no other."""
+    real = oracle.reflected_count
+    monkeypatch.setattr(oracle, "reflected_count",
+                        lambda at, v, s: real(at, v, s) + 1)
+    report = run_verification(k_max=3, n_max=3)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["reflection/oracle"] * 2
+
+
 def test_oracle_imports_only_public_names_from_the_engine():
     """The oracle cross-checks `counting.py`, so it may share the engine's
     public API but no private helper, whose mistake it would then repeat."""

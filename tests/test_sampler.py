@@ -175,6 +175,72 @@ def test_weight_consistency_on_sampled_paths():
                 rows = apply_step(rows, step)
 
 
+def _shape_space_weights(table, length, rows, i, pending):
+    """(steps, weights, total) of step i+1 from shape `rows`, stepped on
+    shapes by legal_steps and apply_step and read from the full-length
+    `table`: the transition weights as the shape-space sampler made them."""
+    from nckp.walks import (BRAID_WALK, PARTITION_WALK, apply_step,
+                            legal_steps, shape_to_point)
+
+    k = table.k
+
+    def f(shape, s):
+        return table.count(shape_to_point(shape, k), s)
+
+    total = f(rows, length - i)
+    if not table.braid:
+        parity = "even" if i % 2 else "odd"
+        cands = legal_steps(rows, k, parity, PARTITION_WALK)
+        weights = [f(apply_step(rows, st), length - i - 1) for st in cands]
+    elif i % 2 == 0:
+        cands = legal_steps(rows, k, "odd", BRAID_WALK)
+        weights = []
+        for alpha in cands:
+            mid = apply_step(rows, alpha)
+            weights.append(sum(
+                f(apply_step(mid, t), length - i - 2) for t in legal_steps(
+                    mid, k, "even", BRAID_WALK, forbid_loop_after=alpha)))
+    else:
+        cands = legal_steps(rows, k, "even", BRAID_WALK,
+                            forbid_loop_after=pending)
+        weights = [f(apply_step(rows, st), length - i - 1) for st in cands]
+        total = sum(weights)
+    return tuple(cands), tuple(weights), total
+
+
+def test_weights_are_the_shape_space_weights():
+    """The oracle's weights step by its own step rule on chamber points.
+    Stepped on shapes by legal_steps and apply_step instead, they list the
+    same candidates with the same completions and total, at every shape of
+    at most n boxes, every position and every pending add."""
+    from nckp.walks import point_to_shape
+
+    for k in (2, 3, 4, 5):
+        for mode in ("plain", "regular"):
+            if mode == "regular" and k < 3:
+                continue
+            for n in range(7):
+                session = SamplerSession(k, n, mode)
+                length = session.walk_len
+                table = (ChamberTable if mode == "plain" else LoopFreeTable
+                         ).build(k, length)
+                for v, _ in table.slice_items(length):
+                    rows = point_to_shape(v, k)
+                    for i in range(length):
+                        if mode == "plain":
+                            cases = [(None, partition_weights(session, rows, i))]
+                        elif i % 2 == 0:
+                            cases = [(None, regular_weights(session, rows, i))]
+                        else:
+                            cases = [(p, regular_weights(session, rows, i, p))
+                                     for p in range(k)]
+                        for pending, tw in cases:
+                            assert (tw.steps, tw.weights, tw.total) == (
+                                _shape_space_weights(table, length, rows, i,
+                                                     pending)
+                            ), (k, mode, n, rows, i, pending)
+
+
 def test_sample_validity():
     session = SamplerSession(4, 12, "plain", seed=9)
     for _ in range(50):
@@ -359,12 +425,13 @@ def test_draws_on_inconsistent_tables_raise_under_python_O():
     and draws must catch both without assert, in both modes."""
 
     script = """
-from nckp.counting import ChamberTable, InvariantError, LoopFreeTable
+from nckp.counting import (ChamberTable, InvariantError, LoopFreeTable,
+                           half_lengths, walk_length)
 from nckp.sampler import SamplerSession
 
 for mode, table in (("plain", ChamberTable.build(3, 8)),
                     ("regular", LoopFreeTable.build(3, 8))):
-    m, h = SamplerSession(3, 4, mode, table=table)._cut
+    m, h = half_lengths(walk_length(4, mode), table.braid)
     slices = [table._column(t) for t in range(table.max_len + 1)]
     zero = [[0] * len(c) if t == h else c for t, c in enumerate(slices)]
     swollen = [[x * 10**6 for x in c] if t == m else c
@@ -415,7 +482,8 @@ def test_random_bits_counters():
 def test_sampler_imports_only_what_the_draw_runs():
     """The draw needs the walk record and its two kinds, never a shape
     function, a record base or an oracle: those stay readable through the
-    module's lazy names only."""
+    module's lazy names only.  Nor does it read a private field of another
+    object: the table cuts, lays out and walks back its own walks."""
     tree = ast.parse(Path(sampler.__file__).read_text(encoding="utf-8"))
     imports = [node for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))]
@@ -434,6 +502,13 @@ def test_sampler_imports_only_what_the_draw_runs():
     modules += [alias.name for node in imports if isinstance(node, ast.Import)
                 for alias in node.names]
     assert [m for m in modules if "oracle" in m] == []
+    assert {"half_lengths", "chain"} & imported == set()
+    private = sorted({node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr.startswith("_")
+                      and not (isinstance(node.value, ast.Name)
+                               and node.value.id == "self")})
+    assert private == []
 
 
 def test_lazy_names_are_their_home_objects():

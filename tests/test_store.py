@@ -84,6 +84,16 @@ def test_unpruned_loop_free_cache_loads_without_horizon(tmp_path):
     assert isinstance(load_tables(path), LoopFreeTable)
 
 
+def test_odd_loop_free_cache_is_rejected(tmp_path):
+    """A loop-free table of odd length, made past build()'s even-length
+    rule, writes a manifest that the rebuild refuses."""
+    path = tmp_path / "k3r5.tab"
+    save_tables(LoopFreeTable(3, 5), path)
+    assert "max_len 5" in _lines(path)
+    with pytest.raises(CacheError, match="even"):
+        load_tables(path)
+
+
 def test_horizon_line_is_rejected(tmp_path):
     path = tmp_path / "t.tab"
     save_tables(ChamberTable.build(3, 8), path)
