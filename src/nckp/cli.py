@@ -33,6 +33,7 @@ import os
 import sys
 
 from .counting import (
+    MODES,
     TableLimitError,
     session_table,
     total_partitions,
@@ -101,12 +102,11 @@ def _fail(message: str, code: int) -> int:
 
 def _check_params(args) -> str | None:
     regular = getattr(args, "regular", False)
+    min_k = MODES["regular" if regular else "plain"].min_k
     if getattr(args, "n", 0) < 0:
         return "--n must be >= 0"
-    if regular and args.k < 3:
-        return "--k must be >= 3 with --regular"
-    if not regular and getattr(args, "k", 2) < 2:
-        return "--k must be >= 2"
+    if getattr(args, "k", min_k) < min_k:
+        return f"--k must be >= {min_k}" + " with --regular" * regular
     if getattr(args, "seed", 0) < 0:
         return "--seed must be >= 0"
     return None

@@ -62,8 +62,11 @@ build and the draw share one step rule; the loop reads that memo and the
 rows directly, to save a call per candidate.
 
 This module also owns the chamber primitives the DP runs on (start_point
-and in_chamber, which `walks.py` re-exports) and session_table, which
-picks or builds the table a (k, n, mode) session needs.  It imports
+and in_chamber, which `walks.py` re-exports) and the modes: a mode is its
+table class (MODES: "plain" is ChamberTable, "regular" LoopFreeTable),
+whose min_k is the least k it serves.  walk_length and session_table are
+the one gate of a (k, n, mode) request, for the totals and the sampler
+too: ValueError for an unknown mode, n < 0 or k below min_k.  It imports
 nothing from the rest of the package, so `nckp count` and `nckp cache
 build` load only it and the cache store.
 
@@ -503,6 +506,7 @@ class _PackedTable:
 class ChamberTable(_PackedTable):
     """Chamber-confined partition-walk counts for all endpoints and lengths."""
 
+    min_k = 2
     count = _PackedTable.count  # own attribute, so it can be wrapped per class
 
     def _make_back(self, i: int, parity: int):
@@ -518,13 +522,14 @@ class ChamberTable(_PackedTable):
         """Run the chamber DP.  With loop_free=True the same engine counts
         loop-free braid walks and returns a LoopFreeTable; that is what
         LoopFreeTable.build does."""
-        min_k = 3 if loop_free else 2
-        if k < min_k:
-            raise ValueError(f"k must be >= {min_k}, got {k}")
+        table_cls = LoopFreeTable if loop_free else ChamberTable
+        if k < table_cls.min_k:
+            raise ValueError(f"k must be >= {table_cls.min_k}, got {k}")
         if loop_free and max_len % 2:  # halves of braid walks are even
             raise ValueError(f"loop-free max_len must be even, got {max_len}")
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {max_len}")
         _check_size(k, max_len, loop_free)
-        table_cls = LoopFreeTable if loop_free else ChamberTable
         return table_cls(k, max_len)
 
 
@@ -534,6 +539,7 @@ class LoopFreeTable(_PackedTable):
     slots of the back() memo are one list of vertices by id."""
 
     braid = True
+    min_k = 3
     count = _PackedTable.count
 
     def _make_back(self, i: int, parity: int):
@@ -561,17 +567,32 @@ class LoopFreeTable(_PackedTable):
 # session tables and totals
 # ---------------------------------------------------------------------------
 
+MODES = {"plain": ChamberTable, "regular": LoopFreeTable}
+
+
 def walk_length(n: int, mode: str) -> int:
-    """Steps of the complete walk behind one sample of size n."""
+    """Steps of the complete walk behind one sample of size n; ValueError
+    for a mode outside MODES or n < 0."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {list(MODES)}, got {mode!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     return 2 * n if mode == "plain" else max(2 * (n - 1), 0)
 
 
+def _request(k: int, n: int, mode: str):
+    """MODES[mode] and walk_length(n, mode), once k is checked to be >= min_k."""
+    walk_len, table_cls = walk_length(n, mode), MODES[mode]
+    if k < table_cls.min_k:
+        raise ValueError(f"k must be >= {table_cls.min_k} for {mode}, got {k}")
+    return table_cls, walk_len
+
+
 def session_table(k: int, n: int, mode: str, table=None):
-    """The count table of a (k, n, mode) session: `table` once checked to
-    hold both halves of the session's walks, or else a freshly built one of
-    the half length."""
-    walk_len = walk_length(n, mode)
-    table_cls = ChamberTable if mode == "plain" else LoopFreeTable
+    """The count table of a (k, n, mode) request _request accepts: `table`
+    once checked to be of the mode's class (else TypeError) and to hold both
+    halves of its walks (else ValueError), or a fresh one of half length."""
+    table_cls, walk_len = _request(k, n, mode)
     half = half_lengths(walk_len, table_cls.braid)[1]
     if table is None:
         return table_cls.build(k, half)
@@ -583,16 +604,14 @@ def session_table(k: int, n: int, mode: str, table=None):
     return table
 
 
-def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
-    """Number of complete walks of length walk_len: sum_v f(v, m) * f(v, h)
-    over the cut of half_lengths, read from `table` or else from the last
-    DP slices, without building rows."""
+def _total(k: int, n: int, mode: str, table) -> int:
+    """Number of complete walks of a (k, n, mode) request: sum_v f(v, m) *
+    f(v, h) over the cut of half_lengths, read from `table` once
+    session_table has checked it, or else from the last DP slices."""
+    table_cls, walk_len = _request(k, n, mode)
     if table is not None:
-        if table.k != k or table.braid != braid:
-            raise ValueError(f"a {type(table).__name__} for k={table.k}"
-                             f" cannot count {'braid' if braid else 'partition'}"
-                             f" walks for k={k}")
-        return sum(table.midpoint_weights(walk_len))
+        return sum(session_table(k, n, mode, table).midpoint_weights(walk_len))
+    braid = table_cls.braid
     m, h = half_lengths(walk_len, braid)
     _check_size(k, h, braid)
     _, _, ends, up, down = _grade(k, h, braid)
@@ -604,21 +623,9 @@ def _midpoint_total(k: int, walk_len: int, braid: bool, table) -> int:
 
 def total_partitions(k: int, n: int, table: ChamberTable | None = None) -> int:
     """Number of partitions of [n] with no k mutually crossing arcs."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    return _midpoint_total(k, 2 * n, False, table)
+    return _total(k, n, "plain", table)
 
 
 def total_regular(k: int, n: int, table: LoopFreeTable | None = None) -> int:
     """Number of 2-regular, k-noncrossing partitions of [n]."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3 for regular counting, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    return _midpoint_total(k, 2 * (n - 1), True, table)
+    return _total(k, n, "regular", table)

@@ -50,6 +50,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .counting import (
+    MODES,
     ChamberTable,
     InvariantError,
     LoopFreeTable,
@@ -446,7 +447,7 @@ def _full_table(k: int, walk_len: int, mode: str):
     """A table of every length up to walk_len: the forward
     weights below need completions that the session's half-length table
     does not hold."""
-    return (ChamberTable if mode == "plain" else LoopFreeTable).build(k, walk_len)
+    return MODES[mode].build(k, walk_len)
 
 
 def _forward(session: SamplerSession, p: tuple[int, ...], i: int,

@@ -128,19 +128,11 @@ class SamplerSession:
 
     def __init__(self, k: int, n: int, mode: str = "plain", seed: int = 0,
                  table=None):
-        if mode not in ("plain", "regular"):
-            raise ValueError(f"mode must be 'plain' or 'regular', got {mode!r}")
-        if mode == "plain" and k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        if mode == "regular" and k < 3:
-            raise ValueError(f"k must be >= 3 in regular mode, got {k}")
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
         self.k = k
         self.n = n
         self.mode = mode
-        self.rng = RandomBits(seed)
         self.walk_len = walk_length(n, mode)
+        self.rng = RandomBits(seed)
         self.table = session_table(k, n, mode, table)
         self._ends = list(accumulate(self.table.midpoint_weights(self.walk_len)))
         self.total = self._ends[-1] if self._ends else 0

@@ -19,7 +19,7 @@ at max_len 240, 0.11-0.16 s against 0.13-0.19 s for int() over the 17 MB
 of decimal text alone; at max_len 400, 0.55-0.81 s against 0.83-1.05 s
 for 128 MB), and counts read from disk would each have to be checked
 before a sampler could trust them.  So load_tables reads the six header
-lines, rebuilds the named table with ChamberTable.build, and accepts it
+lines, rebuilds the named table with its class's build(), and accepts it
 only when its entry count and digest equal the recorded ones.
 
 The digest (_PackedTable.digest) exists to catch a DP that counts
@@ -109,8 +109,7 @@ def _rebuild(head: dict[str, str]):
     k, max_len, entries = (_natural(head[name], name)
                            for name in ("k", "max_len", "entries"))
     try:
-        table = ChamberTable.build(k, max_len,
-                                   loop_free=head["kind"] == "sigma_star")
+        table = KINDS[head["kind"]].build(k, max_len)
     except (TableLimitError, ValueError) as exc:
         raise CacheError(str(exc)) from None
     if table.entry_count() != entries:

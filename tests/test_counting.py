@@ -3,11 +3,14 @@ import time
 import pytest
 
 from nckp.counting import (
+    MODES,
     ChamberTable,
     LoopFreeTable,
     TableLimitError,
+    session_table,
     total_partitions,
     total_regular,
+    walk_length,
 )
 from nckp.oracle import (
     OrthantTable,
@@ -18,6 +21,7 @@ from nckp.oracle import (
     loop_free_odd_count,
     reflected_count,
 )
+from nckp.sampler import SamplerSession
 from nckp.walks import start_point
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -117,6 +121,46 @@ def test_totals_examples():
         total_partitions(3, -1)
 
 
+def test_one_gate_for_mode_n_and_k():
+    """walk_length and session_table refuse a mode outside MODES, n < 0
+    and k below the mode's min_k, with or without a table; build() refuses
+    k below its class's min_k."""
+    assert {mode: cls.min_k for mode, cls in MODES.items()} == {
+        "plain": 2, "regular": 3}
+    assert [walk_length(n, "plain") for n in range(3)] == [0, 2, 4]
+    assert [walk_length(n, "regular") for n in range(4)] == [0, 0, 2, 4]
+    for n, mode in ((5, "bogus"), (5, "Plain"), (-1, "plain"), (-1, "regular")):
+        with pytest.raises(ValueError):
+            walk_length(n, mode)
+    plain, regular = ChamberTable.build(3, 6), LoopFreeTable.build(3, 6)
+    for k, n, mode in ((3, 5, "Plain"), (3, -1, "regular"), (3, -4, "plain"),
+                       (1, 3, "plain"), (2, 3, "regular")):
+        for table in (None, plain, regular):
+            with pytest.raises(ValueError):
+                session_table(k, n, mode, table)
+    for table_cls in MODES.values():
+        with pytest.raises(ValueError, match=f"k must be >= {table_cls.min_k}"):
+            table_cls.build(table_cls.min_k - 1, 4)
+
+
+def test_totals_refuse_tables_that_do_not_fit():
+    """A table of the other mode, another k or too short for n raises in
+    the totals what it raises in a session on that table."""
+    plain, regular = ChamberTable.build(3, 4), LoopFreeTable.build(3, 4)
+    cases = [(total_partitions, 3, 4, "plain", regular, TypeError),
+             (total_regular, 3, 4, "regular", plain, TypeError),
+             (total_partitions, 3, 5, "plain", plain, ValueError),
+             (total_regular, 3, 8, "regular", regular, ValueError),
+             (total_partitions, 4, 2, "plain", plain, ValueError)]
+    for total, k, n, mode, table, error in cases:
+        with pytest.raises(error):
+            total(k, n, table)
+        with pytest.raises(error):
+            SamplerSession(k, n, mode, table=table)
+    assert total_partitions(3, 4, plain) == 15
+    assert total_regular(3, 5, regular) == 15
+
+
 def test_midpoint_identity_matches_the_oracles():
     """The totals sum f(v, m) * f(v, h) over the midpoints v; they must
     equal the whole-walk counts of the reflection sum and the tuple DP
@@ -214,6 +258,9 @@ def test_count_checks_its_arguments():
     for walk_len in (-1, 5):
         with pytest.raises(ValueError, match="even"):
             ChamberTable.build(3, walk_len, loop_free=True)
+    for table_cls, max_len in ((ChamberTable, -1), (LoopFreeTable, -2)):
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            table_cls.build(3, max_len)
 
 
 def test_k4_six_term_reflection_formula():

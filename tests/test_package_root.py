@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -75,3 +76,13 @@ def test_import_loads_no_submodule_and_star_import_works():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["nckp", "202 SamplerSession nckp.oracle"]
+
+
+def test_no_invariant_lives_in_an_assert():
+    """`python -O` strips assert statements, so no module of the package
+    may check anything with one."""
+    for path in sorted(Path(nckp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts at lines {lines}"
